@@ -9,7 +9,7 @@ adds it). It polls instance health and reports abnormal results upward.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import wire

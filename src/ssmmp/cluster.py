@@ -1,7 +1,9 @@
-"""Wiring: a Manager, agents, and runtimes assembled over one network.
+"""Wiring: a Manager, agents, and runtimes assembled over one fabric.
 
-The actors only see a small node-bound environment (listen/connect/timers),
-so the same actor code runs over the simulated fabric and over loopback TCP.
+The actors only see a small node-bound environment (listen/connect/timers
+and `call`), so the same assembly runs over the simulated network and over
+loopback TCP. A fabric gives out those environments (`env(addr, name)`),
+adds nodes and kills them.
 """
 
 from __future__ import annotations
@@ -12,33 +14,7 @@ from .agent import Agent, AgentConfig, RepositoryEntry, SpawnError
 from .graph import AbstractGraph, outgoing_connections
 from .manager import Manager, ManagerConfig
 from .service_runtime import (InstanceConfig, ServiceRuntime, make_behavior)
-from .transport import Endpoint, PortInUse, SimNetwork
-
-
-class SimEnv:
-    """Node-bound view of the simulated network."""
-
-    def __init__(self, net: SimNetwork, addr: str):
-        self._net = net
-        self.addr = addr
-
-    def now_ms(self) -> int:
-        return self._net.now_ms()
-
-    def schedule(self, delay_ms, fn, tag="timer"):
-        return self._net.schedule(delay_ms, fn, tag=tag)
-
-    def schedule_repeating(self, period_ms, fn, tag="tick"):
-        return self._net.schedule_repeating(period_ms, fn, tag=tag)
-
-    def listen(self, port, on_accept, kind="data"):
-        return self._net.listen(self.addr, port, on_accept, kind=kind)
-
-    def connect(self, dst: Endpoint, kind="data", meta=None):
-        return self._net.connect(self.addr, dst, kind=kind, meta=meta)
-
-    def port_in_use(self, port) -> bool:
-        return self._net.port_in_use(self.addr, port)
+from .transport import PortInUse
 
 
 @dataclass
@@ -49,29 +25,26 @@ class NodeDef:
 
 
 class Cluster:
-    def __init__(self, net: SimNetwork, graphs: list[AbstractGraph],
+    def __init__(self, fabric, graphs: list[AbstractGraph],
                  manager_addr: str, nodes: list[NodeDef],
                  manager_config: ManagerConfig | None = None,
                  agent_config: AgentConfig | None = None,
                  journal_sink=None):
-        self.net = net
+        self.fabric = fabric
         self.graphs = graphs
-        self.manager_addr = manager_addr
-        self.nodes = nodes
-        net.add_node(manager_addr)
-        self.manager = Manager(SimEnv(net, manager_addr), graphs,
+        fabric.add_node(manager_addr)
+        self.manager = Manager(fabric.env(manager_addr, "manager"), graphs,
                                manager_config or ManagerConfig(),
                                journal_sink=journal_sink)
         self.agents: dict[str, Agent] = {}
         self.runtimes: dict[tuple[str, int], ServiceRuntime] = {}
-        self._behavior_names: dict[str, str] = {}
         for node in nodes:
-            net.add_node(node.addr)
+            fabric.add_node(node.addr)
             repo = {name: self._repo_entry(name, node.behavior)
                     for name in node.repo}
             self.agents[node.addr] = Agent(
-                SimEnv(net, node.addr), node.addr, manager_addr, repo,
-                self._make_spawn(node.addr),
+                fabric.env(node.addr, f"agent-{node.addr}"), node.addr,
+                manager_addr, repo, self._make_spawn(node.addr),
                 agent_config or AgentConfig())
 
     def _graph_of(self, service: str) -> AbstractGraph:
@@ -97,8 +70,11 @@ class Cluster:
                 plug_targets=tuple(plugs),
                 plug_sockets=plug_sockets,
                 agent_addr=node_addr)
-            rt = ServiceRuntime(SimEnv(self.net, node_addr), config,
-                                make_behavior(bytecode))
+            env = self.fabric.env(node_addr, f"rt-{service}.{instance_id}")
+            rt = ServiceRuntime(env, config, make_behavior(bytecode))
+            rt._loop = getattr(env, "loop", None)
+            # Started here, in the agent's exec handler, so that a bind
+            # failure reaches the agent as a SpawnError.
             try:
                 rt.start()
             except PortInUse as e:
@@ -109,18 +85,27 @@ class Cluster:
         return spawn
 
     def start(self) -> None:
-        self.manager.start()
+        self.manager.env.call(self.manager.start)
         for agent in self.agents.values():
-            agent.start()
+            agent.env.call(agent.start)
 
     def kill_node(self, addr: str) -> None:
-        self.net.kill_node(addr)
+        self.fabric.kill_node(addr)
         agent = self.agents.get(addr)
         if agent is not None:
-            agent.mark_dead()
+            agent.env.call(agent.mark_dead)
         for rt in self.runtimes.values():
             if rt.config.node_addr == addr:
-                rt.kill()
+                rt.env.call(rt.kill)
+
+    def shutdown(self) -> None:
+        """Stop a fabric that owns threads and sockets (loopback TCP)."""
+        self.fabric.shutdown()
+
+    @property
+    def manager_loop(self):
+        """The manager's ActorLoop, on a fabric that has loops."""
+        return self.manager.env.loop
 
     def runtime(self, service: str, instance_id: int) -> ServiceRuntime:
         return self.runtimes[(service, instance_id)]

@@ -32,9 +32,6 @@ class ServiceSpec:
     plugs: tuple[str, ...] = ()
     fixed_ports: tuple[tuple[str, int], ...] = ()  # gateways: socket -> port
 
-    def fixed_port_map(self) -> dict[str, int]:
-        return dict(self.fixed_ports)
-
 
 @dataclass(frozen=True)
 class AbstractConnection:
@@ -220,12 +217,6 @@ def outgoing_connections(g: AbstractGraph, service: str) -> list[AbstractConnect
     if not g.has_service(service):
         raise UnknownService(service)
     return [e for e in g.edges if e.source == service]
-
-
-def incoming_connections(g: AbstractGraph, service: str) -> list[AbstractConnection]:
-    if not g.has_service(service):
-        raise UnknownService(service)
-    return [e for e in g.edges if e.dest == service]
 
 
 # ---------------------------------------------------------------------------

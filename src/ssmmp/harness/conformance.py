@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import wire
-from ..wire import Message, MessageType as MT, SubType as ST
+from ..wire import Message, MessageType as MT
 
 _SAMPLE_VALUES = {
     "agent_network_address": "fd00::a1",

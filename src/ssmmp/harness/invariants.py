@@ -7,7 +7,7 @@ record, with the control plane's actual table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import wire
 from ..manager import AgentStatus, InstanceState, Manager, SessionState

@@ -1,192 +1,74 @@
 """Scenario execution over loopback TCP.
 
-Wall-clock, thread-per-actor, excluded from determinism guarantees. Events
-run at their scenario times; state-based expectations are evaluated against
-the live control plane. Trace-based checks (choreography, replay) need the
-deterministic trace and are reported as skipped here.
+Wall-clock, thread-per-actor, excluded from determinism guarantees. This is
+only the driver: it waits for registration, sleeps until each event's time
+and runs the event through the simulator's interpreter (runner.py), which
+posts every change to the actor's loop. Trace-based checks need the
+deterministic trace and are reported as skipped; the manager-only state
+invariants run once, on the manager's loop, after the settle.
 """
 
 from __future__ import annotations
 
+import queue
 import time
 
-from ..manager import SessionState
-from ..service_runtime import FrameReader, frame
-from ..transport import ConnectionRefused, Endpoint, NodeDown
-from ..tcp import TcpEnv, build_tcp_cluster
-from .report import TraceReport, Verdict
+from ..tcp import TcpFabric
+from . import invariants
+from .report import TraceReport, Verdict, manager_snapshot
+from .runner import execute_event, scenario_context
 from .scenario import Scenario
 
-_TRACE_ONLY = {"choreography", "replay_matches"}
-USER_NODE = "fd00::ee"
+SKIPPED_INVARIANTS = ("session_conservation", "knowledge_asymmetry",
+                      "correlation", "wire_grammar", "replay_equivalence")
+STATE_TIMEOUT_S = 5.0
 
 
-class _TcpContext:
-    def __init__(self, scenario: Scenario, handle):
-        self.scenario = scenario
-        self.handle = handle
-        self.manager = handle.manager
-        self.user_replies: list[bytes] = []
-        self.held: dict[tuple[str, int, str], list] = {}
-        self.expects: list[Verdict] = []
-        self._user_loop = handle.fabric.new_loop("user")
-        self._user_env = TcpEnv(handle.fabric, USER_NODE, self._user_loop)
-
-
-def _pick_instance(ctx: _TcpContext, spec: str):
-    service, _, iid = spec.partition(".")
-    if iid:
-        return service, int(iid)
-    running = sorted(r.instance_id
-                     for r in ctx.manager.running_instances(service))
-    if not running:
-        raise KeyError(f"no running instance of {service}")
-    return service, running[0]
-
-
-def _user_request(ctx: _TcpContext, alias: str) -> None:
-    addr = ctx.manager.dns_resolve(alias)
-    port = ctx.scenario.graph.service(alias).fixed_ports[0][1]
-
-    def go():
-        try:
-            ch, _m, _l = ctx._user_env.connect(Endpoint(addr, port),
-                                               kind="external")
-        except (NodeDown, ConnectionRefused):
-            return
-        reader = FrameReader()
-
-        def on_data(channel, data):
-            for payload in reader.feed(data):
-                ctx.user_replies.append(payload)
-                channel.close()
-
-        ch.set_handlers(on_data, lambda channel: None)
-        ch.send(frame(b"task:user"))
-
-    ctx._user_loop.post(go)
-
-
-def _run_event(ctx: _TcpContext, ev) -> None:
-    kind, args = ev.kind, ev.args
-    if kind == "user_request":
-        _user_request(ctx, args[0])
-    elif kind == "open_session":
-        service, iid = _pick_instance(ctx, args[0])
-        rt = ctx.handle.runtimes[(service, iid)]
-        key = (service, iid, args[1])
-
-        def on_established(_rt, handle, key=key):
-            ctx.held.setdefault(key, []).append(handle)
-
-        rt._loop.post(lambda: rt.open_session(
-            args[1], hold=True, on_established=on_established))
-    elif kind == "close_session":
-        service, iid = _pick_instance(ctx, args[0])
-        handles = ctx.held.get((service, iid, args[1]), [])
-        if handles:
-            handle = handles.pop(0)
-            rt = ctx.handle.runtimes[(service, iid)]
-            rt._loop.post(lambda: rt.close_session(handle))
-    elif kind == "exec_instance":
-        preferred = args[1] if len(args) > 1 else None
-        ctx.handle.manager_loop.post(
-            lambda: ctx.manager.execute_instance(args[0], preferred))
-    elif kind == "kill_instance":
-        rt = ctx.handle.runtimes.get((args[0], int(args[1])))
-        if rt is not None:
-            rt.kill()
-    elif kind == "kill_agent":
-        agent = ctx.handle.agents.get(args[0])
-        if agent is not None:
-            agent.mark_dead()
-            if agent._manager_ch is not None:
-                agent._manager_ch.close()
-    elif kind == "set_health":
-        service, iid = _pick_instance(ctx, args[0])
-        behavior = ctx.handle.runtimes[(service, iid)].behavior
-        behavior.faulted = args[1] == "faulted"
-        behavior.mute = args[1] == "muted"
-    elif kind == "advance_time":
-        pass  # wall clock advances on its own
-    elif kind == "expect":
-        check, rest = args[0], args[1:]
-        if check in _TRACE_ONLY:
-            ctx.expects.append(Verdict(
-                True, f"at={ev.at_ms} {check}", "skipped in tcp mode"))
-            return
-        ok, detail = _evaluate(ctx, check, rest)
-        ctx.expects.append(Verdict(
-            ok, f"at={ev.at_ms} {check} {' '.join(rest)}".rstrip(), detail))
-    elif kind in ("break_link", "heal_link"):
-        ctx.expects.append(Verdict(
-            False, f"at={ev.at_ms} event {kind}", "not supported in tcp mode"))
-
-
-def _evaluate(ctx: _TcpContext, check: str, args) -> tuple[bool, str]:
-    manager = ctx.manager
-    if check == "user_replies":
-        n = len(ctx.user_replies)
-        return n == int(args[0]), f"got {n}"
-    if check == "session_complete":
-        for s in manager.sessions:
-            if (s.source_service_name, s.plug_name, s.dest_service_name,
-                    s.socket_name) == tuple(args) and s.complete():
-                return True, ""
-        return False, "no complete record"
-    if check == "agent_isolated":
-        rec = manager.agents.get(args[0])
-        return (rec is not None and rec.status.value == "isolated",
-                rec.status.value if rec else "unknown")
-    if check == "no_session_touching":
-        open_ = [s for s in manager.sessions
-                 if s.state is not SessionState.CLOSED
-                 and s.touches_node(args[0])]
-        return not open_, f"{len(open_)} open"
-    if check == "dns_targets":
-        n = len(manager.dns.targets(args[0]))
-        return n == int(args[1]), f"got {n}"
-    if check == "instance_state":
-        inst = manager.instances.get((args[0], int(args[1])))
-        return (inst is not None and inst.state.value == args[2],
-                inst.state.value if inst else "unknown")
-    if check == "instance_running":
-        n = len(manager.running_instances(args[0]))
-        return n == int(args[1]), f"got {n}"
-    if check == "session_count":
-        n = sum(1 for s in manager.sessions if s.state.value == args[0])
-        return n == int(args[1]), f"got {n}"
-    return False, f"check {check} unavailable in tcp mode"
+def _state_invariants(cluster) -> list[Verdict]:
+    """Port exclusivity, DNS soundness and isolation, read on the manager's
+    loop so that no handler runs while they look."""
+    manager = cluster.manager
+    answer: queue.Queue = queue.Queue(maxsize=1)
+    manager.env.call(lambda: answer.put([
+        invariants.check_port_exclusivity(manager, cluster),
+        invariants.check_dns_soundness(manager),
+        invariants.check_isolation(manager),
+    ]))
+    try:
+        return answer.get(timeout=STATE_TIMEOUT_S)
+    except queue.Empty:
+        return [Verdict(False, "state_invariants",
+                        "manager loop did not answer")]
 
 
 def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                      register_timeout_s: float = 5.0) -> TraceReport:
-    handle = build_tcp_cluster([scenario.graph], scenario.manager_addr,
-                               scenario.nodes)
-    handle.fabric.add_node(USER_NODE)
-    ctx = _TcpContext(scenario, handle)
+    fabric = TcpFabric()
+    ctx = scenario_context(scenario, fabric)
+    cluster = ctx.cluster
     try:
+        cluster.start()
         deadline = time.monotonic() + register_timeout_s
         while time.monotonic() < deadline:
-            if all(a.registered for a in handle.agents.values()):
+            if all(a.registered for a in cluster.agents.values()):
                 break
             time.sleep(0.02)
         else:
             raise TimeoutError("agents failed to register")
-        handle.manager_loop.post(handle.manager.start_app)
-        t0 = handle.fabric.now_ms()
+        cluster.manager.env.call(cluster.manager.start_app)
+        t0 = fabric.now_ms()
         for ev in scenario.events:
-            wait_ms = ev.at_ms - (handle.fabric.now_ms() - t0)
+            wait_ms = ev.at_ms - (fabric.now_ms() - t0)
             if wait_ms > 0:
                 time.sleep(wait_ms / 1000.0)
-            _run_event(ctx, ev)
+            execute_event(ctx, ev)
         time.sleep(min(scenario.settle_ms, 2000) / 1000.0)
+        state = _state_invariants(cluster)
     finally:
-        handle.shutdown()
+        cluster.shutdown()
     report = TraceReport(scenario.name + "+tcp", seed)
     report.expects = ctx.expects
-    report.invariants = [Verdict(True, "tcp_mode",
-                                 "trace invariants not evaluated")]
-    from .report import manager_snapshot
-    report.manager_lines = manager_snapshot(handle.manager)
+    report.invariants = state + [Verdict(True, name, "skipped in tcp mode")
+                                 for name in SKIPPED_INVARIANTS]
+    report.manager_lines = manager_snapshot(cluster.manager)
     return report

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
-from .transport import (ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
-                        PortInUse)
+from .transport import ChannelClosed, ConnectionRefused, Endpoint, NodeDown
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -89,7 +88,6 @@ class _PendingOpen:
     plug: str
     dest_service: str
     socket: str
-    hold: bool
     on_established: Callable | None
     on_failed: Callable | None
     timer: object | None = None
@@ -199,7 +197,7 @@ class ServiceRuntime:
 
     # -- opening sessions --------------------------------------------------
 
-    def open_session(self, plug_name: str, hold: bool = False,
+    def open_session(self, plug_name: str,
                      on_established: Callable | None = None,
                      on_failed: Callable | None = None) -> int:
         """Ask the control plane for a destination and connect to it.
@@ -222,7 +220,7 @@ class ServiceRuntime:
             source_plug_name=plug_name,
             dest_service_name=dest_service,
             dest_socket_name=socket_name)
-        pending = _PendingOpen(plug_name, dest_service, socket_name, hold,
+        pending = _PendingOpen(plug_name, dest_service, socket_name,
                                on_established, on_failed)
         self._pending_opens[mid] = pending
         if not self._send_control(msg):
@@ -455,11 +453,6 @@ class Behavior:
         pass
 
     def on_session_closed(self, rt: ServiceRuntime, handle: SessionHandle) -> None:
-        pass
-
-    # Hook for resuming work after a forced close; deliberately a no-op here
-    # (session state checkpointing lives outside the protocol).
-    def checkpoint(self, rt: ServiceRuntime, handle: SessionHandle) -> None:
         pass
 
 

@@ -5,20 +5,24 @@ their node's IP so the peer's logical identity is recoverable. Real TCP does
 not expose a per-session listener port, so the acceptor allocates a logical
 one and announces it in a one-line preamble; the connector's preamble carries
 the connect metadata the simulated fabric passes natively (plug name or
-instance identity). Runs are wall-clock and excluded from determinism
-guarantees.
+instance identity). Either side waits at most PREAMBLE_TIMEOUT_S for the
+other's preamble, and a malformed one closes the connection. Runs are
+wall-clock and excluded from determinism guarantees.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass
 
+from .cluster import Cluster
 from .transport import (AcceptInfo, ChannelClosed, ConnectionRefused, Endpoint,
                         NodeDown, PortInUse)
+
+PREAMBLE_TIMEOUT_S = 2.0
 
 
 class ActorLoop:
@@ -27,7 +31,6 @@ class ActorLoop:
     def __init__(self, name: str):
         self._queue: queue.Queue = queue.Queue()
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
-        self.running = True
         self.errors: list[str] = []
         self._thread.start()
 
@@ -45,7 +48,6 @@ class ActorLoop:
                 self.errors.append(f"{type(e).__name__}: {e}")
 
     def stop(self) -> None:
-        self.running = False
         self._queue.put(None)
 
 
@@ -133,42 +135,56 @@ class TcpChannel:
             self.on_close(self)
 
 
-class _RepeatingTimer:
-    def __init__(self, period_s: float, post, fn):
+class _TcpTimer:
+    """A threading.Timer that posts `fn` to an actor loop once, or every
+    period with `repeat`. The fabric cancels the live ones at shutdown."""
+
+    def __init__(self, fabric: TcpFabric, delay_s: float, post, fn,
+                 repeat: bool = False):
         self.alive = True
+        self._fabric = fabric
+        self._delay_s = delay_s
+        self._post = post
+        self._fn = fn
+        self._repeat = repeat
+        self._arm()
+        fabric._track(fabric._timers.add, self, _TcpTimer.cancel)
 
-        def fire():
-            if not self.alive:
-                return
-            post(fn)
-            self._timer = threading.Timer(period_s, fire)
-            self._timer.daemon = True
-            self._timer.start()
-
-        self._timer = threading.Timer(period_s, fire)
+    def _arm(self) -> None:
+        self._timer = threading.Timer(self._delay_s, self._fire)
         self._timer.daemon = True
         self._timer.start()
+        if not self.alive:  # cancelled while re-arming
+            self._timer.cancel()
+
+    def _fire(self) -> None:
+        if not self.alive:
+            return
+        self._post(self._fn)
+        if self._repeat:
+            self._arm()
+        else:
+            self.cancel()
 
     def cancel(self) -> None:
         self.alive = False
         self._timer.cancel()
+        self._fabric._forget_timer(self)
 
 
-class _OneShotTimer:
-    def __init__(self, delay_s: float, post, fn):
-        self.alive = True
+class _TcpListener:
+    def __init__(self, endpoint: Endpoint, sock: socket.socket):
+        self.endpoint = endpoint
+        self._sock = sock
 
-        def fire():
-            if self.alive:
-                post(fn)
-
-        self._timer = threading.Timer(delay_s, fire)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def cancel(self) -> None:
-        self.alive = False
-        self._timer.cancel()
+    def close(self) -> None:
+        # shutdown() wakes the thread blocked in accept(); close() alone
+        # would leave it blocked for good.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
 
 
 def _encode_meta(meta: dict | None) -> bytes:
@@ -176,40 +192,67 @@ def _encode_meta(meta: dict | None) -> bytes:
     return f"connect {items}".strip().encode() + b"\n"
 
 
-def _read_line(sock: socket.socket) -> tuple[bytes, bytes]:
-    """First LF-terminated line and whatever binary data followed it."""
+def _read_line(sock: socket.socket) -> tuple[str, bytes]:
+    """First LF-terminated line, decoded, and whatever data followed it.
+
+    Raises ConnectionRefused when the peer closes, sends no full line within
+    PREAMBLE_TIMEOUT_S, or sends a line that is not UTF-8.
+    """
+    deadline = time.monotonic() + PREAMBLE_TIMEOUT_S
     buf = b""
-    while b"\n" not in buf:
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise ConnectionRefused("peer closed during preamble")
-        buf += chunk
-    line, _, rest = buf.partition(b"\n")
-    return line, rest
+    try:
+        while b"\n" not in buf:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ConnectionRefused("preamble timed out")
+            sock.settimeout(remaining)
+            chunk = sock.recv(4096)
+            if not chunk:
+                raise ConnectionRefused("peer closed during preamble")
+            buf += chunk
+        sock.settimeout(None)
+        line, _, rest = buf.partition(b"\n")
+        return line.decode(), rest
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConnectionRefused(f"bad preamble: {e}") from e
 
 
-_SUBNET_SEQ = [0]
-_SUBNET_LOCK = threading.Lock()
+def _parse_meta(line: str) -> dict[str, str]:
+    """`connect k=v ...` -> {k: v}."""
+    words = line.split()
+    if not words or words[0] != "connect" \
+            or not all("=" in w for w in words[1:]):
+        raise ConnectionRefused(f"bad preamble {line!r}")
+    return dict(w.split("=", 1) for w in words[1:])
 
 
-def _fresh_subnet() -> str:
-    with _SUBNET_LOCK:
-        _SUBNET_SEQ[0] += 1
-        return f"127.31.{_SUBNET_SEQ[0] % 250}"
+def _parse_session_port(line: str) -> int:
+    """`session N` -> N."""
+    words = line.split()
+    if len(words) != 2 or words[0] != "session" or not words[1].isdecimal():
+        raise ConnectionRefused(f"bad preamble reply {line!r}")
+    return int(words[1])
+
+
+_SUBNET_SEQ = itertools.count(1)  # next() on it is atomic under the GIL
 
 
 class TcpFabric:
-    """Loopback address mapping plus per-node logical session ports."""
+    """Loopback address mapping, per-node logical session ports, and every
+    thread and socket its actors use, so that shutdown can stop them all."""
 
-    def __init__(self, subnet: str | None = None):
-        self._subnet = subnet or _fresh_subnet()
+    def __init__(self):
+        self._subnet = f"127.31.{next(_SUBNET_SEQ) % 250}"
         self._addr_to_ip: dict[str, str] = {}
         self._ip_to_addr: dict[str, str] = {}
         self._session_ports: dict[str, int] = {}
+        self._down: set[str] = set()
         self._lock = threading.Lock()
-        self._listeners: list[socket.socket] = []
+        self._stopped = False
+        self._listeners: list[_TcpListener] = []
         self._channels: list[TcpChannel] = []
         self._loops: list[ActorLoop] = []
+        self._timers: set[_TcpTimer] = set()
         self._t0 = time.monotonic()
 
     def add_node(self, addr: str) -> None:
@@ -221,8 +264,14 @@ class TcpFabric:
             self._ip_to_addr[ip] = addr
             self._session_ports[addr] = 40000
 
+    def env(self, addr: str, name: str) -> TcpEnv:
+        """A node-bound environment on a new ActorLoop thread `name`."""
+        loop = ActorLoop(name)
+        self._track(self._loops.append, loop, ActorLoop.stop)
+        return TcpEnv(self, addr, loop)
+
     def ip(self, addr: str) -> str:
-        if addr not in self._addr_to_ip:
+        if addr not in self._addr_to_ip or addr in self._down:
             raise NodeDown(addr)
         return self._addr_to_ip[addr]
 
@@ -238,17 +287,38 @@ class TcpFabric:
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)
 
-    def new_loop(self, name: str) -> ActorLoop:
-        loop = ActorLoop(name)
-        self._loops.append(loop)
-        return loop
+    def _track(self, add, item, close) -> None:
+        """Remember `item` for shutdown, or close it now if that has begun."""
+        with self._lock:
+            if not self._stopped:
+                add(item)
+                return
+        close(item)
+
+    def _forget_timer(self, timer: _TcpTimer) -> None:
+        with self._lock:
+            self._timers.discard(timer)
+
+    def kill_node(self, addr: str) -> None:
+        """Node dies: its listeners and channels close, and connects to or
+        from it raise NodeDown."""
+        with self._lock:
+            self._down.add(addr)
+        for listener in self._listeners:
+            if listener.endpoint.addr == addr:
+                listener.close()
+        for channel in self._channels:
+            if channel.local.addr == addr:
+                channel.close()
 
     def shutdown(self) -> None:
-        for sock in self._listeners:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        with self._lock:
+            self._stopped = True
+            timers = list(self._timers)
+        for timer in timers:
+            timer.cancel()
+        for listener in self._listeners:
+            listener.close()
         for channel in self._channels:
             channel.close()
         for loop in self._loops:
@@ -263,17 +333,25 @@ class TcpEnv:
         self.addr = addr
         self.loop = loop
 
+    def call(self, fn) -> None:
+        """Run `fn` in the actor's context: posted to its loop."""
+        self.loop.post(fn)
+
     def now_ms(self) -> int:
         return self.fabric.now_ms()
 
     def schedule(self, delay_ms, fn, tag="timer"):
-        return _OneShotTimer(delay_ms / 1000.0, self.loop.post, fn)
+        return _TcpTimer(self.fabric, delay_ms / 1000.0, self.loop.post, fn)
 
     def schedule_repeating(self, period_ms, fn, tag="tick"):
-        return _RepeatingTimer(period_ms / 1000.0, self.loop.post, fn)
+        return _TcpTimer(self.fabric, period_ms / 1000.0, self.loop.post, fn,
+                         repeat=True)
 
     def port_in_use(self, port: int) -> bool:
+        # Bind as listen() does: a port that only a closed connection's
+        # TIME_WAIT still holds is free to listen on.
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             probe.bind((self.fabric.ip(self.addr), port))
             return False
@@ -283,7 +361,8 @@ class TcpEnv:
             probe.close()
 
     def listen(self, port: int, on_accept, kind: str = "data"):
-        ip = self.fabric.ip(self.addr)
+        fabric = self.fabric
+        ip = fabric.ip(self.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -292,7 +371,8 @@ class TcpEnv:
             sock.close()
             raise PortInUse(f"{self.addr}:{port}") from e
         sock.listen(16)
-        self.fabric._listeners.append(sock)
+        listener = _TcpListener(Endpoint(self.addr, port), sock)
+        fabric._track(fabric._listeners.append, listener, _TcpListener.close)
 
         def accept_loop():
             while True:
@@ -306,137 +386,50 @@ class TcpEnv:
         def handshake(conn, peer):
             try:
                 line, rest = _read_line(conn)
+                meta = _parse_meta(line)
+                session_port = fabric.alloc_session_port(self.addr)
+                conn.sendall(f"session {session_port}\n".encode())
             except (ConnectionRefused, OSError):
                 conn.close()
                 return
-            parts = line.decode().split()
-            meta = dict(p.split("=", 1) for p in parts[1:])
-            session_port = self.fabric.alloc_session_port(self.addr)
-            try:
-                conn.sendall(f"session {session_port}\n".encode())
-            except OSError:
-                conn.close()
-                return
-            peer_ep = Endpoint(self.fabric.logical(peer[0]), peer[1])
+            peer_ep = Endpoint(fabric.logical(peer[0]), peer[1])
             channel = TcpChannel(conn, self.loop,
                                  Endpoint(self.addr, session_port), peer_ep,
                                  kind, initial=rest)
-            self.fabric._channels.append(channel)
+            fabric._track(fabric._channels.append, channel, TcpChannel.close)
             info = AcceptInfo(peer_ep, port, session_port, meta)
             self.loop.post(lambda: on_accept(channel, info))
             channel.start_reader()
 
         threading.Thread(target=accept_loop, daemon=True).start()
-
-        class _Listener:
-            endpoint = Endpoint(self.addr, port)
-
-            @staticmethod
-            def close():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-
-        return _Listener()
+        return listener
 
     def connect(self, dst: Endpoint, kind: str = "data", meta=None):
+        fabric = self.fabric
+        src_ip, dst_ip = fabric.ip(self.addr), fabric.ip(dst.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.bind((self.fabric.ip(self.addr), 0))
         try:
-            sock.connect((self.fabric.ip(dst.addr), dst.port))
-        except OSError as e:
+            sock.bind((src_ip, 0))
+            sock.connect((dst_ip, dst.port))
+            sock.sendall(_encode_meta(meta))
+            line, rest = _read_line(sock)
+            session_port = _parse_session_port(line)
+        except (OSError, ConnectionRefused) as e:
             sock.close()
             raise ConnectionRefused(str(dst)) from e
-        sock.sendall(_encode_meta(meta))
-        line, rest = _read_line(sock)
-        session_port = int(line.decode().split()[1])
         m = sock.getsockname()[1]
         channel = TcpChannel(sock, self.loop, Endpoint(self.addr, m),
                              Endpoint(dst.addr, session_port), kind,
                              initial=rest)
-        self.fabric._channels.append(channel)
+        fabric._track(fabric._channels.append, channel, TcpChannel.close)
         channel.start_reader()
         return channel, m, session_port
 
 
-@dataclass
-class TcpClusterHandle:
-    fabric: TcpFabric
-    manager: object
-    agents: dict
-    runtimes: dict
-
-    def post_manager(self, fn) -> None:
-        self.manager_loop.post(fn)
-
-    def shutdown(self) -> None:
-        self.fabric.shutdown()
-
-
 def build_tcp_cluster(graphs, manager_addr, nodes,
-                      manager_config=None, agent_config=None):
+                      manager_config=None, agent_config=None) -> Cluster:
     """Assemble the same actors as the simulation, threaded over loopback."""
-    from .agent import Agent, AgentConfig, SpawnError
-    from .graph import outgoing_connections
-    from .manager import Manager, ManagerConfig
-    from .service_runtime import InstanceConfig, ServiceRuntime, make_behavior
-    from .agent import RepositoryEntry
-
-    fabric = TcpFabric()
-    fabric.add_node(manager_addr)
-    for node in nodes:
-        fabric.add_node(node.addr)
-
-    def graph_of(service):
-        for g in graphs:
-            if g.has_service(service):
-                return g
-        raise KeyError(service)
-
-    manager_loop = fabric.new_loop("manager")
-    manager = Manager(TcpEnv(fabric, manager_addr, manager_loop), graphs,
-                      manager_config or ManagerConfig())
-    handle = TcpClusterHandle(fabric, manager, {}, {})
-    handle.manager_loop = manager_loop
-
-    def make_spawn(node_addr):
-        def spawn(service, instance_id, sockets, plugs, bytecode):
-            g = graph_of(service)
-            plug_sockets = {e.plug: e.socket
-                            for e in outgoing_connections(g, service)}
-            config = InstanceConfig(
-                service_name=service, instance_id=instance_id,
-                node_addr=node_addr, socket_ports=tuple(sockets),
-                plug_targets=tuple(plugs), plug_sockets=plug_sockets,
-                agent_addr=node_addr)
-            loop = fabric.new_loop(f"rt-{service}.{instance_id}")
-            rt = ServiceRuntime(TcpEnv(fabric, node_addr, loop), config,
-                                make_behavior(bytecode))
-            rt._loop = loop
-            try:
-                rt.start()
-            except PortInUse as e:
-                raise SpawnError(str(e)) from e
-            handle.runtimes[(service, instance_id)] = rt
-            return rt
-
-        return spawn
-
-    for node in nodes:
-        repo = {}
-        for name in node.repo:
-            spec = graph_of(name).service(name)
-            repo[name] = RepositoryEntry(name, spec.sockets, spec.plugs,
-                                         node.behavior)
-        loop = fabric.new_loop(f"agent-{node.addr}")
-        agent = Agent(TcpEnv(fabric, node.addr, loop), node.addr, manager_addr,
-                      repo, make_spawn(node.addr),
-                      agent_config or AgentConfig())
-        agent._loop = loop
-        handle.agents[node.addr] = agent
-
-    manager_loop.post(manager.start)
-    for agent in handle.agents.values():
-        agent._loop.post(agent.start)
-    return handle
+    cluster = Cluster(TcpFabric(), graphs, manager_addr, nodes,
+                      manager_config, agent_config)
+    cluster.start()
+    return cluster

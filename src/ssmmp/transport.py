@@ -219,12 +219,6 @@ class SimNetwork:
             return max(1, int(self._latency_fn(self._rng)))
         return self.hop_latency_ms
 
-    def _after(self, tie: float, fn, tag: str) -> Timer:
-        timer = Timer()
-        self._push(self._now + self._hop_latency(), tie,
-                   _QueueEntry(fn, timer, tag))
-        return timer
-
     def _after_channel(self, ch: Channel, fn, tag: str = "net") -> Timer:
         """Channel events keep send order even under drawn latencies."""
         timer = Timer()
@@ -410,8 +404,40 @@ class SimNetwork:
             out.append(ch)
         return out
 
-    def listener_endpoints(self) -> list[Endpoint]:
-        return sorted(self._listeners)
+    def env(self, addr: str, name: str = "") -> SimEnv:
+        """The node-bound environment of one actor. `name` is unused: every
+        actor shares the one simulation thread."""
+        return SimEnv(self, addr)
+
+
+class SimEnv:
+    """Node-bound view of the simulated network."""
+
+    def __init__(self, net: SimNetwork, addr: str):
+        self._net = net
+        self.addr = addr
+
+    def call(self, fn) -> None:
+        """Run `fn` in the actor's context: at once, in the one sim thread."""
+        fn()
+
+    def now_ms(self) -> int:
+        return self._net.now_ms()
+
+    def schedule(self, delay_ms, fn, tag="timer"):
+        return self._net.schedule(delay_ms, fn, tag=tag)
+
+    def schedule_repeating(self, period_ms, fn, tag="tick"):
+        return self._net.schedule_repeating(period_ms, fn, tag=tag)
+
+    def listen(self, port, on_accept, kind="data"):
+        return self._net.listen(self.addr, port, on_accept, kind=kind)
+
+    def connect(self, dst: Endpoint, kind="data", meta=None):
+        return self._net.connect(self.addr, dst, kind=kind, meta=meta)
+
+    def port_in_use(self, port) -> bool:
+        return self._net.port_in_use(self.addr, port)
 
 
 class _QueueEntry:

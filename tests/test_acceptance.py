@@ -279,7 +279,7 @@ def test_criterion_9_tcp_smoke():
                 detail = "gateway never started"
             else:
                 rt = handle.runtimes[("A", 1)]
-                rt._loop.post(lambda: rt.open_session("P", hold=True))
+                rt._loop.post(lambda: rt.open_session("P"))
                 if not wait(lambda: handle.manager.established_sessions()):
                     detail = "session never established"
                 else:

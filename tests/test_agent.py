@@ -193,7 +193,7 @@ def test_agent_forwards_responses_only_after_manager_sent_them(fig1_graph):
         sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
     cluster.manager.start_app()
     net.run(until_ms=net.now_ms() + 30)
-    cluster.runtime("A", 1).open_session("P", hold=True)
+    cluster.runtime("A", 1).open_session("P")
     net.run(until_ms=net.now_ms() + 50)
     downward = [m for m in sent if m.msg_type is MT.SESSION_RESPONSE
                 and m.sub_type is ST.AGENT_TO_SERVICE]

@@ -104,7 +104,7 @@ def _run_boot_with_session(fig1_graph, seed=3):
     cluster.start()
     net.schedule_abs(50, cluster.manager.start_app)
     net.schedule_abs(
-        100, lambda: cluster.runtime("A", 1).open_session("P", hold=True))
+        100, lambda: cluster.runtime("A", 1).open_session("P"))
     net.run()
     collector.drain_net_events()
     return net, cluster, collector

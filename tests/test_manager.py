@@ -10,9 +10,9 @@ from ssmmp.manager import (AgentStatus, InstanceState, NameNotFound,
 from ssmmp.wire import Message, MessageType as MT, SubType as ST
 
 
-def _drive_session(net, cluster, service, iid, plug, hold=True):
+def _drive_session(net, cluster, service, iid, plug):
     rt = cluster.runtime(service, iid)
-    rt.open_session(plug, hold=hold)
+    rt.open_session(plug)
     net.run(until_ms=net.now_ms() + 50)
     return rt
 
@@ -412,9 +412,9 @@ def test_isolate_node_post_state_table_scan(fig1_graph):
     net.run(until_ms=net.now_ms() + 30)
     manager.execute_instance("A")   # lands on fd00::a2
     net.run(until_ms=net.now_ms() + 30)
-    cluster.runtime("A", 1).open_session("P", hold=True)
+    cluster.runtime("A", 1).open_session("P")
     net.run(until_ms=net.now_ms() + 50)
-    cluster.runtime("A", 2).open_session("P", hold=True)
+    cluster.runtime("A", 2).open_session("P")
     net.run(until_ms=net.now_ms() + 50)
     assert len(manager.established_sessions()) == 2
 

@@ -18,7 +18,7 @@ def _booted(fig1_graph, repo=("A", "B")):
 
 def _open(net, cluster, service="A", iid=1, plug="P"):
     rt = cluster.runtime(service, iid)
-    rt.open_session(plug, hold=True)
+    rt.open_session(plug)
     net.run(until_ms=net.now_ms() + 50)
     return rt
 
@@ -61,8 +61,8 @@ def test_open_session_knowledge_sets(fig1_graph):
 def test_distinct_session_ports_per_acceptance(fig1_graph):
     net, cluster = _booted(fig1_graph)
     rt = cluster.runtime("A", 1)
-    rt.open_session("P", hold=True)
-    rt.open_session("P", hold=True)
+    rt.open_session("P")
+    rt.open_session("P")
     net.run(until_ms=net.now_ms() + 80)
     dest = cluster.runtime("B", 1)
     ls = [h.params["dest_socket_new_port"] for h in dest.dest_handles]
@@ -232,7 +232,7 @@ def test_ack_follows_every_successful_open(fig1_graph):
         sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
     rt = cluster.runtime("A", 1)
     for _ in range(3):
-        rt.open_session("P", hold=True)
+        rt.open_session("P")
         net.run(until_ms=net.now_ms() + 50)
     requests = [m.message_id for m in sent
                 if m.msg_type is MT.SESSION_REQUEST

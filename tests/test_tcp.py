@@ -1,5 +1,7 @@
 """Loopback-TCP mode: the same actors over real sockets."""
 
+import socket
+import threading
 import time
 
 import pytest
@@ -8,8 +10,12 @@ from conftest import FIXTURES
 
 from ssmmp.cluster import NodeDef
 from ssmmp.graph import parse_graph_file
+from ssmmp.harness.runner import TRACE_CHECKS, run_scenario
+from ssmmp.harness.scenario import load_scenario, parse_scenario_text
+from ssmmp.harness.tcp_runner import run_scenario_tcp
 from ssmmp.manager import SessionState
-from ssmmp.tcp import build_tcp_cluster
+from ssmmp.tcp import PREAMBLE_TIMEOUT_S, TcpFabric, build_tcp_cluster
+from ssmmp.transport import ConnectionRefused, Endpoint
 
 
 def _wait(pred, timeout=8.0):
@@ -35,7 +41,7 @@ def test_tcp_end_to_end_session(fig1):
         handle.manager_loop.post(handle.manager.start_app)
         assert _wait(lambda: ("A", 1) in handle.runtimes)
         rt = handle.runtimes[("A", 1)]
-        rt._loop.post(lambda: rt.open_session("P", hold=True))
+        rt._loop.post(lambda: rt.open_session("P"))
         assert _wait(lambda: len(handle.manager.established_sessions()) == 1)
         session = handle.manager.established_sessions()[0]
         # m is the OS-assigned source port; l was carried by the acceptor's
@@ -59,9 +65,106 @@ def test_tcp_end_to_end_session(fig1):
 
 
 def test_tcp_scenario_runner_smoke(fig1):
-    from ssmmp.harness.scenario import load_scenario
-    from ssmmp.harness.tcp_runner import run_scenario_tcp
     scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
     report = run_scenario_tcp(scenario, seed=0)
     assert report.ok, "\n".join(v.render() for v in report.expects if not v.ok)
     assert any("skipped in tcp mode" in v.detail for v in report.expects)
+
+
+def test_tcp_event_on_service_without_instance_is_a_verdict(fig1):
+    scenario = parse_scenario_text(
+        "manager fd00::1\nnode fd00::a1 repo=A,B\nsettle 100\n"
+        "at 10 open_session service-1 P6\n", name="missing", graph=fig1)
+    for report in (run_scenario(scenario, 0), run_scenario_tcp(scenario, 0)):
+        failed = [v for v in report.expects if not v.ok]
+        assert [v.name for v in failed] == ["at=10 event open_session"]
+        assert failed[0].detail.startswith("KeyError")
+
+
+def test_kill_agent_gives_the_same_checks_over_both_transports():
+    scenario = load_scenario(FIXTURES / "kill_agent.scenario")
+    sim = run_scenario(scenario, 0)
+    tcp = run_scenario_tcp(scenario, 0)
+    assert [v.name for v in sim.expects] == [v.name for v in tcp.expects]
+    for report in (sim, tcp):
+        bad = [v.render() for v in report.expects
+               if not v.ok and v.name.split()[1] not in TRACE_CHECKS]
+        assert bad == []
+    assert all(v.ok for v in tcp.invariants), \
+        [v.render() for v in tcp.invariants]
+    skipped = {v.name for v in tcp.invariants
+               if v.detail == "skipped in tcp mode"}
+    assert skipped == {"session_conservation", "knowledge_asymmetry",
+                       "correlation", "wire_grammar", "replay_equivalence"}
+
+
+def test_tcp_shutdown_stops_every_thread(fig1):
+    before = set(threading.enumerate())
+    cluster = build_tcp_cluster([fig1], "fd00::1",
+                                [NodeDef("fd00::a1", ["A", "B"])])
+    try:
+        assert _wait(lambda: all(a.registered
+                                 for a in cluster.agents.values()))
+        cluster.manager_loop.post(cluster.manager.start_app)
+        assert _wait(lambda: ("A", 1) in cluster.runtimes)
+    finally:
+        cluster.shutdown()
+    assert _wait(lambda: set(threading.enumerate()) <= before), \
+        [t.name for t in set(threading.enumerate()) - before]
+
+
+@pytest.fixture
+def acceptor():
+    """A fabric with one node listening on port 7000, and what it accepted."""
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    accepted = []
+    fabric.env("fd00::a1", "acceptor").listen(
+        7000, lambda channel, info: accepted.append(info))
+    yield fabric, accepted
+    fabric.shutdown()
+
+
+@pytest.mark.parametrize("preamble", [b"connect foo\n", b"connect \xff=1\n",
+                                      b"hello plug=P\n"])
+def test_malformed_preamble_closes_the_connection(acceptor, preamble):
+    fabric, accepted = acceptor
+    with socket.create_connection((fabric.ip("fd00::a1"), 7000),
+                                  timeout=5) as raw:
+        raw.sendall(preamble)
+        assert raw.recv(64) == b""
+    assert accepted == []
+
+
+def test_silent_connector_is_closed_after_preamble_timeout(acceptor):
+    fabric, accepted = acceptor
+    t0 = time.monotonic()
+    with socket.create_connection((fabric.ip("fd00::a1"), 7000),
+                                  timeout=PREAMBLE_TIMEOUT_S + 3) as raw:
+        assert raw.recv(64) == b""
+    assert PREAMBLE_TIMEOUT_S * 0.9 <= time.monotonic() - t0
+    assert accepted == []
+
+
+def test_bad_session_reply_refuses_the_connect():
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    fabric.add_node("fd00::a2")
+    server = socket.create_server((fabric.ip("fd00::a2"), 7000))
+
+    def reply_garbage():
+        conn, _peer = server.accept()
+        with conn:
+            conn.recv(64)
+            conn.sendall(b"session x\n")
+
+    replier = threading.Thread(target=reply_garbage)
+    replier.start()
+    try:
+        with pytest.raises(ConnectionRefused):
+            fabric.env("fd00::a1", "connector").connect(
+                Endpoint("fd00::a2", 7000))
+    finally:
+        replier.join(timeout=5)
+        server.close()
+        fabric.shutdown()
