@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .wire import TOKEN_RE
 
@@ -32,9 +34,33 @@ class ServiceSpec:
     plugs: tuple[str, ...] = ()
     fixed_ports: tuple[tuple[str, int], ...] = ()  # gateways: socket -> port
 
+    @cached_property
+    def own_issues(self) -> tuple[GraphIssue, ...]:
+        """The violations this declaration has on its own, in check order."""
+        issues = []
+        ends = self.sockets + self.plugs
+        if len(set(ends)) != len(ends):
+            seen: set[str] = set()
+            for n in ends:
+                if n in seen:
+                    issues.append(GraphIssue(
+                        "DuplicateName", f"{self.name}: socket/plug name {n} reused"))
+                seen.add(n)
+        if self.kind is ServiceKind.BAAS and self.plugs:
+            issues.append(GraphIssue(
+                "KindViolation", f"baas {self.name} must have no plugs"))
+        if self.kind is ServiceKind.GATEWAY:
+            if {k for k, _ in self.fixed_ports} != set(self.sockets):
+                issues.append(GraphIssue(
+                    "KindViolation",
+                    f"gateway {self.name} must fix a port for every socket"))
+        elif self.fixed_ports:
+            issues.append(GraphIssue(
+                "KindViolation", f"{self.name}: only gateways declare fixed ports"))
+        return tuple(issues)
 
-@dataclass(frozen=True)
-class AbstractConnection:
+
+class AbstractConnection(NamedTuple):
     source: str
     plug: str
     dest: str
@@ -44,8 +70,7 @@ class AbstractConnection:
         return f"({self.source}, ({self.plug}, {self.socket}), {self.dest})"
 
 
-@dataclass(frozen=True)
-class GraphIssue:
+class GraphIssue(NamedTuple):
     code: str  # CycleDetected | DanglingEndpoint | KindViolation | DuplicatePlugUse | DuplicateName
     detail: str
 
@@ -89,98 +114,92 @@ def validate_graph(
 ) -> list[GraphIssue]:
     """Every violated invariant, in a deterministic order."""
     issues: list[GraphIssue] = []
-    names = [s.name for s in specs]
-    by_name = {}
+    # name -> (vertex number of its first declaration, plugs and sockets of
+    # its last one)
+    vertex: dict[str, tuple[int, tuple[str, ...], tuple[str, ...]]] = {}
+    kind_checked: list[tuple[ServiceSpec, int]] = []
     for s in specs:
-        if s.name in by_name:
-            issues.append(GraphIssue("DuplicateName", f"service {s.name} declared twice"))
-        by_name[s.name] = s
-        seen: set[str] = set()
-        for n in s.sockets + s.plugs:
-            if n in seen:
-                issues.append(GraphIssue(
-                    "DuplicateName", f"{s.name}: socket/plug name {n} reused"))
-            seen.add(n)
-        if s.kind is ServiceKind.BAAS and s.plugs:
-            issues.append(GraphIssue(
-                "KindViolation", f"baas {s.name} must have no plugs"))
-        if s.kind is ServiceKind.GATEWAY:
-            covered = {k for k, _ in s.fixed_ports}
-            if covered != set(s.sockets):
-                issues.append(GraphIssue(
-                    "KindViolation",
-                    f"gateway {s.name} must fix a port for every socket"))
-        elif s.fixed_ports:
-            issues.append(GraphIssue(
-                "KindViolation", f"{s.name}: only gateways declare fixed ports"))
+        name = s.name
+        known = vertex.get(name)
+        if known is None:
+            v = len(vertex)
+        else:
+            v = known[0]
+            issues.append(GraphIssue("DuplicateName", f"service {name} declared twice"))
+        vertex[name] = (v, s.plugs, s.sockets)
+        if s.own_issues:
+            issues += s.own_issues
+        if s.kind is not ServiceKind.REGULAR:
+            kind_checked.append((s, v))
 
-    in_deg = {n: 0 for n in names}
-    out_deg = {n: 0 for n in names}
-    plug_uses: dict[tuple[str, str], int] = {}
-    for e in conns:
-        ok = True
-        for end, role in ((e.source, "source"), (e.dest, "dest")):
-            if end not in by_name:
+    in_deg = [0] * len(vertex)
+    out_deg = [0] * len(vertex)
+    succ: dict[int, list[int]] = {}
+    used_plugs: list[tuple[str, str]] = []
+    for source, plug, dest, socket in conns:
+        src = vertex.get(source)
+        dst = vertex.get(dest)
+        if src is None or dst is None:
+            edge = f"({source}, ({plug}, {socket}), {dest})"
+            if src is None:
                 issues.append(GraphIssue(
-                    "DanglingEndpoint", f"{e}: unknown {role} service {end}"))
-                ok = False
-        if not ok:
+                    "DanglingEndpoint", f"{edge}: unknown source service {source}"))
+            if dst is None:
+                issues.append(GraphIssue(
+                    "DanglingEndpoint", f"{edge}: unknown dest service {dest}"))
             continue
-        if e.plug not in by_name[e.source].plugs:
+        if plug not in src[1]:
             issues.append(GraphIssue(
-                "DanglingEndpoint", f"{e}: {e.source} has no plug {e.plug}"))
-        if e.socket not in by_name[e.dest].sockets:
+                "DanglingEndpoint",
+                f"({source}, ({plug}, {socket}), {dest}): {source} has no plug {plug}"))
+        if socket not in dst[2]:
             issues.append(GraphIssue(
-                "DanglingEndpoint", f"{e}: {e.dest} has no socket {e.socket}"))
-        in_deg[e.dest] += 1
-        out_deg[e.source] += 1
-        plug_uses[(e.source, e.plug)] = plug_uses.get((e.source, e.plug), 0) + 1
+                "DanglingEndpoint",
+                f"({source}, ({plug}, {socket}), {dest}): {dest} has no socket {socket}"))
+        i, j = src[0], dst[0]
+        out_deg[i] += 1
+        in_deg[j] += 1
+        if i in succ:
+            succ[i].append(j)
+        else:
+            succ[i] = [j]
+        used_plugs.append((source, plug))
 
-    for (svc, plug), uses in sorted(plug_uses.items()):
-        if uses > 1:
-            issues.append(GraphIssue(
-                "DuplicatePlugUse", f"plug {plug} of {svc} used by {uses} edges"))
+    if len(set(used_plugs)) != len(used_plugs):
+        for (svc, plug), uses in sorted(Counter(used_plugs).items()):
+            if uses > 1:
+                issues.append(GraphIssue(
+                    "DuplicatePlugUse", f"plug {plug} of {svc} used by {uses} edges"))
 
-    for s in specs:
-        if s.kind is ServiceKind.GATEWAY and in_deg.get(s.name, 0):
-            issues.append(GraphIssue(
-                "KindViolation", f"gateway {s.name} must have in-degree 0"))
-        if s.kind is ServiceKind.BAAS and out_deg.get(s.name, 0):
+    for s, v in kind_checked:
+        if s.kind is ServiceKind.GATEWAY:
+            if in_deg[v]:
+                issues.append(GraphIssue(
+                    "KindViolation", f"gateway {s.name} must have in-degree 0"))
+        elif out_deg[v]:
             issues.append(GraphIssue(
                 "KindViolation", f"baas {s.name} must have out-degree 0"))
 
-    if _has_cycle(names, conns):
+    # Only a vertex with edges both in and out can lie on a cycle.
+    if any(map(min, in_deg, out_deg)) \
+            and _has_cycle(in_deg, succ, len(used_plugs)):
         issues.append(GraphIssue("CycleDetected", "graph contains a directed cycle"))
     return issues
 
 
-def _has_cycle(names: Sequence[str], conns: Sequence[AbstractConnection]) -> bool:
-    adj: dict[str, list[str]] = {n: [] for n in names}
-    for e in conns:
-        if e.source in adj and e.dest in adj:
-            adj[e.source].append(e.dest)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adj}
-    for start in adj:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adj[start]))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
+def _has_cycle(in_deg: list[int], succ: dict[int, list[int]],
+               arcs: int) -> bool:
+    """Kahn's algorithm over vertex numbers: arcs never freed lie on or
+    behind a cycle."""
+    deg = in_deg[:]
+    ready = [v for v in succ if not deg[v]]
+    while ready:
+        for w in succ[ready.pop()]:
+            arcs -= 1
+            deg[w] -= 1
+            if not deg[w] and w in succ:
+                ready.append(w)
+    return arcs > 0
 
 
 def build_graph(

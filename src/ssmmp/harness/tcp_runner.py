@@ -5,7 +5,9 @@ only the driver: it waits for registration, sleeps until each event's time
 and runs the event through the simulator's interpreter (runner.py), which
 posts every change to the actor's loop. Trace-based checks need the
 deterministic trace and are reported as skipped; the manager-only state
-invariants run once, on the manager's loop, after the settle.
+invariants run once, on the manager's loop, after the settle. Agents that do
+not register in time give the failed verdict `registration`, and no event
+runs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ def _state_invariants(cluster) -> list[Verdict]:
                         "manager loop did not answer")]
 
 
+def _await_registration(cluster, timeout_s: float) -> Verdict | None:
+    """None once every agent has registered, else a failed verdict."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if all(a.registered for a in cluster.agents.values()):
+            return None
+        time.sleep(0.02)
+    missing = sorted(addr for addr, a in cluster.agents.items()
+                     if not a.registered)
+    return Verdict(False, "registration",
+                   f"not registered within {timeout_s}s: {', '.join(missing)}")
+
+
 def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                      register_timeout_s: float = 5.0) -> TraceReport:
     fabric = TcpFabric()
@@ -48,27 +63,25 @@ def run_scenario_tcp(scenario: Scenario, seed: int = 0,
     cluster = ctx.cluster
     try:
         cluster.start()
-        deadline = time.monotonic() + register_timeout_s
-        while time.monotonic() < deadline:
-            if all(a.registered for a in cluster.agents.values()):
-                break
-            time.sleep(0.02)
+        unregistered = _await_registration(cluster, register_timeout_s)
+        if unregistered is not None:
+            invariants = [unregistered]
         else:
-            raise TimeoutError("agents failed to register")
-        cluster.manager.env.call(cluster.manager.start_app)
-        t0 = fabric.now_ms()
-        for ev in scenario.events:
-            wait_ms = ev.at_ms - (fabric.now_ms() - t0)
-            if wait_ms > 0:
-                time.sleep(wait_ms / 1000.0)
-            execute_event(ctx, ev)
-        time.sleep(min(scenario.settle_ms, 2000) / 1000.0)
-        state = _state_invariants(cluster)
+            cluster.manager.env.call(cluster.manager.start_app)
+            t0 = fabric.now_ms()
+            for ev in scenario.events:
+                wait_ms = ev.at_ms - (fabric.now_ms() - t0)
+                if wait_ms > 0:
+                    time.sleep(wait_ms / 1000.0)
+                execute_event(ctx, ev)
+            time.sleep(min(scenario.settle_ms, 2000) / 1000.0)
+            invariants = _state_invariants(cluster) + [
+                Verdict(True, name, "skipped in tcp mode")
+                for name in SKIPPED_INVARIANTS]
     finally:
         cluster.shutdown()
     report = TraceReport(scenario.name + "+tcp", seed)
     report.expects = ctx.expects
-    report.invariants = state + [Verdict(True, name, "skipped in tcp mode")
-                                 for name in SKIPPED_INVARIANTS]
+    report.invariants = invariants
     report.manager_lines = manager_snapshot(cluster.manager)
     return report

@@ -8,28 +8,48 @@ the connect metadata the simulated fabric passes natively (plug name or
 instance identity). Either side waits at most PREAMBLE_TIMEOUT_S for the
 other's preamble, and a malformed one closes the connection. Runs are
 wall-clock and excluded from determinism guarantees.
+
+Threads: each actor owns one ActorLoop thread, and every callback for that
+actor runs there. Each fabric owns one I/O thread, which runs a selector and
+a timer heap. It accepts on every listener, reads the acceptor side of every
+preamble, reads every channel, and fires every timer; what it reads and what
+fires it posts to the owning actor's loop, so per-channel order holds. The
+connector side connects and reads the preamble reply in the calling actor's
+thread, then hands the socket to the I/O thread. Sends are blocking
+`sendall`s from the actor's thread. Every socket has TCP_NODELAY set, so a
+small message leaves at once rather than waiting out Nagle's algorithm
+behind the peer's delayed ACK.
 """
 
 from __future__ import annotations
 
+import collections
+import heapq
 import itertools
 import queue
+import selectors
 import socket
 import threading
 import time
+from functools import partial
 
 from .cluster import Cluster
 from .transport import (AcceptInfo, ChannelClosed, ConnectionRefused, Endpoint,
-                        NodeDown, PortInUse)
+                        NodeDown, PortInUse, Timer)
 
 PREAMBLE_TIMEOUT_S = 2.0
+_RECV_BYTES = 65536
+_HEAP_COMPACT_MIN = 64  # below this many entries, never compact the heap
 
 
 class ActorLoop:
-    """One thread per actor; every callback for that actor runs here."""
+    """One thread per actor, which runs every callback for that actor in the
+    order it was posted. The fabric's one I/O thread posts the data and
+    closes it reads from the actor's channels and the actor's timers as they
+    come due on its heap; other actors and the scenario runner post calls."""
 
     def __init__(self, name: str):
-        self._queue: queue.Queue = queue.Queue()
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self.errors: list[str] = []
         self._thread.start()
@@ -51,10 +71,187 @@ class ActorLoop:
         self._queue.put(None)
 
 
+def _run_if_alive(timer: Timer, fn) -> None:
+    """A timer's callback, on its actor's loop; a cancel that came first,
+    even after the deadline, still wins."""
+    if timer.alive:
+        fn()
+
+
+def _unblocked_recv(sock: socket.socket) -> bytes | None:
+    """What a readable socket holds: data, b"" at end of stream or on an
+    error, None when there was nothing after all."""
+    try:
+        return sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        return None
+    except OSError:
+        return b""
+
+
+class _IoLoop:
+    """The fabric's one I/O thread: a selector over its sockets and a heap of
+    timers. Other threads hand it work through `call_soon` and `call_later`,
+    which wake its select through a socketpair."""
+
+    def __init__(self):
+        self.errors: list[str] = []
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ,
+                                self._drain_wake)
+        self._lock = threading.Lock()
+        self._pending: collections.deque = collections.deque()
+        self._timers: list[tuple] = []  # (deadline, seq, Timer, loop, fn, period)
+        self._compact_at = _HEAP_COMPACT_MIN
+        self._seq = itertools.count()
+        self._running = True
+        self._closed = False
+        self._thread = threading.Thread(target=self._run, name="tcp-io",
+                                         daemon=True)
+        self._thread.start()
+
+    # -- from any thread ---------------------------------------------------
+
+    def call_soon(self, fn) -> None:
+        """Run `fn` on the I/O thread, or here once that thread has ended."""
+        with self._lock:
+            queued = not self._closed
+            if queued:
+                self._pending.append(fn)
+        if not queued:
+            fn()
+        elif threading.current_thread() is not self._thread:
+            self._wake()
+
+    def call_later(self, delay_s: float, fn, loop: ActorLoop | None = None,
+                   period_s: float | None = None) -> Timer:
+        """After `delay_s`, post `fn` to `loop` (or run it on the I/O thread
+        when `loop` is None), then again every `period_s` if given, until the
+        returned Timer is cancelled."""
+        timer = Timer()
+        self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
+        return timer
+
+    def stop(self) -> None:
+        """End the I/O thread; it closes every socket still registered."""
+        self.call_soon(self._halt)
+        if threading.current_thread() is not self._thread:
+            self._thread.join(timeout=5.0)
+
+    # -- on the I/O thread -------------------------------------------------
+
+    def register(self, sock: socket.socket, on_readable) -> None:
+        """Watch `sock`, unless it was closed while the call was queued."""
+        if sock.fileno() >= 0:
+            self._selector.register(sock, selectors.EVENT_READ, on_readable)
+
+    def unregister(self, sock: socket.socket) -> None:
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass
+
+    def _push(self, deadline: float, timer: Timer, loop, fn, period_s) -> None:
+        entry = (deadline, next(self._seq), timer, loop, fn, period_s)
+        with self._lock:
+            heap = self._timers
+            if len(heap) >= self._compact_at:
+                # Cancelled entries wait for their deadline; drop them here
+                # so the heap stays within twice the live timers.
+                heap[:] = [e for e in heap if e[2].alive]
+                heapq.heapify(heap)
+                self._compact_at = max(_HEAP_COMPACT_MIN, 2 * len(heap))
+            heapq.heappush(heap, entry)
+            earliest = heap[0] is entry
+        if earliest and threading.current_thread() is not self._thread:
+            self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full (a wake is already pending) or closed
+            pass
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass
+
+    def _halt(self) -> None:
+        self._running = False
+
+    def _timeout(self) -> float | None:
+        with self._lock:
+            if self._pending:
+                return 0.0
+            if not self._timers:
+                return None
+            return max(0.0, self._timers[0][0] - time.monotonic())
+
+    def _run(self) -> None:
+        try:
+            while self._running:
+                try:
+                    self._step()
+                except Exception as e:  # keep the thread alive
+                    self.errors.append(f"{type(e).__name__}: {e}")
+        finally:
+            self._close_all()
+
+    def _step(self) -> None:
+        for key, _events in self._selector.select(self._timeout()):
+            key.data()
+        while self._pending:
+            self._pending.popleft()()
+        self._fire_due()
+
+    def _fire_due(self) -> None:
+        now = time.monotonic()
+        while True:
+            with self._lock:
+                if not self._timers or self._timers[0][0] > now:
+                    return
+                _deadline, _seq, timer, loop, fn, period_s = \
+                    heapq.heappop(self._timers)
+            if not timer.alive:
+                continue
+            if loop is None:
+                fn()
+            else:
+                loop.post(partial(_run_if_alive, timer, fn))
+            if period_s is not None:
+                self._push(now + period_s, timer, loop, fn, period_s)
+
+    def _close_all(self) -> None:
+        with self._lock:
+            self._closed = True
+            pending = list(self._pending)
+            self._pending.clear()
+            self._timers.clear()
+        for fn in pending:
+            try:
+                fn()
+            except Exception as e:
+                self.errors.append(f"{type(e).__name__}: {e}")
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._wake_w.close()
+
+
 class TcpChannel:
-    def __init__(self, sock: socket.socket, loop: ActorLoop,
-                 local: Endpoint, remote: Endpoint, kind: str,
-                 initial: bytes = b""):
+    """One end of a connection. The I/O thread reads it and posts what it
+    reads to the owning actor's loop; `send` writes from the caller's thread.
+    The socket is closed on the I/O thread once either end has closed."""
+
+    def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
+                 local: Endpoint, remote: Endpoint, kind: str):
+        self._fabric = fabric
         self._sock = sock
         self._loop = loop
         self.local = local
@@ -66,11 +263,6 @@ class TcpChannel:
         self.on_close = None
         self._inbox: list[bytes] = []
         self._pending_close = False
-        self._reader = threading.Thread(
-            target=self._read_loop, args=(initial,), daemon=True)
-
-    def start_reader(self) -> None:
-        self._reader.start()
 
     @property
     def is_open(self) -> bool:
@@ -93,30 +285,39 @@ class TcpChannel:
             with self._send_lock:
                 self._sock.sendall(data)
         except OSError as e:
-            self._open = False
+            self._drop()
             raise ChannelClosed(str(e)) from e
 
     def close(self) -> None:
         if not self._open:
             return
-        self._open = False
+        # shutdown() sends the FIN now; the socket itself is closed on the
+        # I/O thread, which may be reading it.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
+        self._drop()
 
-    def _read_loop(self, initial: bytes) -> None:
-        if initial:
-            self._loop.post(lambda: self._deliver(initial))
-        while True:
-            try:
-                data = self._sock.recv(65536)
-            except OSError:
-                data = b""
-            if not data:
-                break
-            self._loop.post(lambda d=data: self._deliver(d))
+    def _drop(self) -> None:
+        self._open = False
+        self._fabric._io.call_soon(self._release)
+
+    def _release(self) -> None:
+        """On the I/O thread: stop reading, close, and forget the channel."""
+        self._fabric._io.unregister(self._sock)
+        with self._send_lock:
+            self._sock.close()
+        self._fabric._forget(self._fabric._channels, self)
+
+    def _on_readable(self) -> None:
+        data = _unblocked_recv(self._sock)
+        if data is None:
+            return
+        if data:
+            self._loop.post(partial(self._deliver, data))
+            return
+        self._fabric._io.unregister(self._sock)
         self._loop.post(self._closed_by_peer)
 
     def _deliver(self, data: bytes) -> None:
@@ -128,63 +329,115 @@ class TcpChannel:
     def _closed_by_peer(self) -> None:
         if not self._open:
             return
-        self._open = False
+        self._drop()
         if self.on_close is None:
             self._pending_close = True
         else:
             self.on_close(self)
 
 
-class _TcpTimer:
-    """A threading.Timer that posts `fn` to an actor loop once, or every
-    period with `repeat`. The fabric cancels the live ones at shutdown."""
-
-    def __init__(self, fabric: TcpFabric, delay_s: float, post, fn,
-                 repeat: bool = False):
-        self.alive = True
-        self._fabric = fabric
-        self._delay_s = delay_s
-        self._post = post
-        self._fn = fn
-        self._repeat = repeat
-        self._arm()
-        fabric._track(fabric._timers.add, self, _TcpTimer.cancel)
-
-    def _arm(self) -> None:
-        self._timer = threading.Timer(self._delay_s, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-        if not self.alive:  # cancelled while re-arming
-            self._timer.cancel()
-
-    def _fire(self) -> None:
-        if not self.alive:
-            return
-        self._post(self._fn)
-        if self._repeat:
-            self._arm()
-        else:
-            self.cancel()
-
-    def cancel(self) -> None:
-        self.alive = False
-        self._timer.cancel()
-        self._fabric._forget_timer(self)
-
-
 class _TcpListener:
-    def __init__(self, endpoint: Endpoint, sock: socket.socket):
+    """A listening socket, accepted on by the fabric's I/O thread."""
+
+    def __init__(self, env: TcpEnv, endpoint: Endpoint, sock: socket.socket,
+                 on_accept, kind: str):
+        self._env = env
+        self._fabric = env.fabric
         self.endpoint = endpoint
         self._sock = sock
+        self._on_accept = on_accept
+        self._kind = kind
+        self._open = True
 
     def close(self) -> None:
-        # shutdown() wakes the thread blocked in accept(); close() alone
-        # would leave it blocked for good.
+        if not self._open:
+            return
+        self._open = False
+        # shutdown() frees the port at once for a new listen(); the socket
+        # itself is closed on the I/O thread.
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._fabric._io.call_soon(self._release)
+
+    def _release(self) -> None:
+        self._fabric._io.unregister(self._sock)
         self._sock.close()
+        self._fabric._forget(self._fabric._listeners, self)
+
+    def _on_readable(self) -> None:
+        while True:
+            try:
+                conn, peer = self._sock.accept()
+            except BlockingIOError:
+                return
+            except OSError:  # shut down: stop watching it
+                self._fabric._io.unregister(self._sock)
+                return
+            conn.setblocking(True)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _Handshake(self, conn, peer)
+
+    def _accepted(self, conn: socket.socket, peer, meta: dict,
+                  session_port: int, rest: bytes) -> None:
+        """Preamble done: the channel, announced to the actor before any
+        data it carries."""
+        fabric, env = self._fabric, self._env
+        peer_ep = Endpoint(fabric.logical(peer[0]), peer[1])
+        channel = TcpChannel(fabric, conn, env.loop,
+                             Endpoint(env.addr, session_port), peer_ep,
+                             self._kind)
+        fabric._track(fabric._channels, channel)
+        info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
+        env.loop.post(partial(self._on_accept, channel, info))
+        if rest:
+            env.loop.post(partial(channel._deliver, rest))
+        fabric._io.register(conn, channel._on_readable)
+
+
+class _Handshake:
+    """The acceptor's side of one connection until its preamble line is in:
+    buffered on the I/O thread, and closed when it is malformed or does not
+    arrive within PREAMBLE_TIMEOUT_S."""
+
+    def __init__(self, listener: _TcpListener, conn: socket.socket, peer):
+        self._listener = listener
+        self._io = listener._fabric._io
+        self._conn = conn
+        self._peer = peer
+        self._buf = b""
+        self._deadline = self._io.call_later(PREAMBLE_TIMEOUT_S, self._fail)
+        self._io.register(conn, self._on_readable)
+
+    def _on_readable(self) -> None:
+        chunk = _unblocked_recv(self._conn)
+        if chunk is None:
+            return
+        if not chunk:
+            self._fail()
+            return
+        self._buf += chunk
+        if b"\n" not in self._buf:
+            return
+        self._deadline.cancel()
+        self._io.unregister(self._conn)
+        line, _, rest = self._buf.partition(b"\n")
+        listener = self._listener
+        addr = listener._env.addr
+        try:
+            meta = _parse_meta(line.decode())
+            session_port = listener._fabric.alloc_session_port(addr)
+            self._conn.sendall(f"session {session_port}\n".encode())
+        except (ConnectionRefused, UnicodeDecodeError, OSError):
+            self._conn.close()
+            return
+        listener._accepted(self._conn, self._peer, meta, session_port, rest)
+
+    def _fail(self) -> None:
+        self._deadline.cancel()
+        self._io.unregister(self._conn)
+        self._conn.close()
 
 
 def _encode_meta(meta: dict | None) -> bytes:
@@ -238,8 +491,9 @@ _SUBNET_SEQ = itertools.count(1)  # next() on it is atomic under the GIL
 
 
 class TcpFabric:
-    """Loopback address mapping, per-node logical session ports, and every
-    thread and socket its actors use, so that shutdown can stop them all."""
+    """Loopback address mapping, per-node logical session ports, the one I/O
+    thread, and every actor loop, listener and open channel, so that
+    shutdown can stop them all."""
 
     def __init__(self):
         self._subnet = f"127.31.{next(_SUBNET_SEQ) % 250}"
@@ -249,10 +503,10 @@ class TcpFabric:
         self._down: set[str] = set()
         self._lock = threading.Lock()
         self._stopped = False
-        self._listeners: list[_TcpListener] = []
-        self._channels: list[TcpChannel] = []
+        self._listeners: set[_TcpListener] = set()
+        self._channels: set[TcpChannel] = set()
         self._loops: list[ActorLoop] = []
-        self._timers: set[_TcpTimer] = set()
+        self._io = _IoLoop()
         self._t0 = time.monotonic()
 
     def add_node(self, addr: str) -> None:
@@ -267,7 +521,11 @@ class TcpFabric:
     def env(self, addr: str, name: str) -> TcpEnv:
         """A node-bound environment on a new ActorLoop thread `name`."""
         loop = ActorLoop(name)
-        self._track(self._loops.append, loop, ActorLoop.stop)
+        with self._lock:
+            stopped = self._stopped
+            self._loops.append(loop)
+        if stopped:
+            loop.stop()
         return TcpEnv(self, addr, loop)
 
     def ip(self, addr: str) -> str:
@@ -287,42 +545,38 @@ class TcpFabric:
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)
 
-    def _track(self, add, item, close) -> None:
-        """Remember `item` for shutdown, or close it now if that has begun."""
+    def _track(self, items: set, item) -> None:
+        """Remember an open listener or channel for shutdown, or close it
+        now if that has begun."""
         with self._lock:
             if not self._stopped:
-                add(item)
+                items.add(item)
                 return
-        close(item)
+        item.close()
 
-    def _forget_timer(self, timer: _TcpTimer) -> None:
+    def _forget(self, items: set, item) -> None:
         with self._lock:
-            self._timers.discard(timer)
+            items.discard(item)
 
     def kill_node(self, addr: str) -> None:
         """Node dies: its listeners and channels close, and connects to or
         from it raise NodeDown."""
         with self._lock:
             self._down.add(addr)
-        for listener in self._listeners:
-            if listener.endpoint.addr == addr:
-                listener.close()
-        for channel in self._channels:
-            if channel.local.addr == addr:
-                channel.close()
+            listeners = [x for x in self._listeners if x.endpoint.addr == addr]
+            channels = [x for x in self._channels if x.local.addr == addr]
+        for item in listeners + channels:
+            item.close()
 
     def shutdown(self) -> None:
         with self._lock:
             self._stopped = True
-            timers = list(self._timers)
-        for timer in timers:
-            timer.cancel()
-        for listener in self._listeners:
-            listener.close()
-        for channel in self._channels:
-            channel.close()
+            items = [*self._listeners, *self._channels]
+        for item in items:
+            item.close()
         for loop in self._loops:
             loop.stop()
+        self._io.stop()
 
 
 class TcpEnv:
@@ -340,12 +594,12 @@ class TcpEnv:
     def now_ms(self) -> int:
         return self.fabric.now_ms()
 
-    def schedule(self, delay_ms, fn, tag="timer"):
-        return _TcpTimer(self.fabric, delay_ms / 1000.0, self.loop.post, fn)
+    def schedule(self, delay_ms, fn, tag="timer") -> Timer:
+        return self.fabric._io.call_later(delay_ms / 1000.0, fn, self.loop)
 
-    def schedule_repeating(self, period_ms, fn, tag="tick"):
-        return _TcpTimer(self.fabric, period_ms / 1000.0, self.loop.post, fn,
-                         repeat=True)
+    def schedule_repeating(self, period_ms, fn, tag="tick") -> Timer:
+        period_s = period_ms / 1000.0
+        return self.fabric._io.call_later(period_s, fn, self.loop, period_s)
 
     def port_in_use(self, port: int) -> bool:
         # Bind as listen() does: a port that only a closed connection's
@@ -371,37 +625,12 @@ class TcpEnv:
             sock.close()
             raise PortInUse(f"{self.addr}:{port}") from e
         sock.listen(16)
-        listener = _TcpListener(Endpoint(self.addr, port), sock)
-        fabric._track(fabric._listeners.append, listener, _TcpListener.close)
-
-        def accept_loop():
-            while True:
-                try:
-                    conn, peer = sock.accept()
-                except OSError:
-                    return
-                threading.Thread(target=handshake, args=(conn, peer),
-                                 daemon=True).start()
-
-        def handshake(conn, peer):
-            try:
-                line, rest = _read_line(conn)
-                meta = _parse_meta(line)
-                session_port = fabric.alloc_session_port(self.addr)
-                conn.sendall(f"session {session_port}\n".encode())
-            except (ConnectionRefused, OSError):
-                conn.close()
-                return
-            peer_ep = Endpoint(fabric.logical(peer[0]), peer[1])
-            channel = TcpChannel(conn, self.loop,
-                                 Endpoint(self.addr, session_port), peer_ep,
-                                 kind, initial=rest)
-            fabric._track(fabric._channels.append, channel, TcpChannel.close)
-            info = AcceptInfo(peer_ep, port, session_port, meta)
-            self.loop.post(lambda: on_accept(channel, info))
-            channel.start_reader()
-
-        threading.Thread(target=accept_loop, daemon=True).start()
+        sock.setblocking(False)
+        listener = _TcpListener(self, Endpoint(self.addr, port), sock,
+                                on_accept, kind)
+        fabric._track(fabric._listeners, listener)
+        fabric._io.call_soon(
+            lambda: fabric._io.register(sock, listener._on_readable))
         return listener
 
     def connect(self, dst: Endpoint, kind: str = "data", meta=None):
@@ -409,6 +638,7 @@ class TcpEnv:
         src_ip, dst_ip = fabric.ip(self.addr), fabric.ip(dst.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.bind((src_ip, 0))
             sock.connect((dst_ip, dst.port))
             sock.sendall(_encode_meta(meta))
@@ -418,11 +648,13 @@ class TcpEnv:
             sock.close()
             raise ConnectionRefused(str(dst)) from e
         m = sock.getsockname()[1]
-        channel = TcpChannel(sock, self.loop, Endpoint(self.addr, m),
-                             Endpoint(dst.addr, session_port), kind,
-                             initial=rest)
-        fabric._track(fabric._channels.append, channel, TcpChannel.close)
-        channel.start_reader()
+        channel = TcpChannel(fabric, sock, self.loop, Endpoint(self.addr, m),
+                             Endpoint(dst.addr, session_port), kind)
+        if rest:
+            channel._inbox.append(rest)
+        fabric._track(fabric._channels, channel)
+        fabric._io.call_soon(
+            lambda: fabric._io.register(sock, channel._on_readable))
         return channel, m, session_port
 
 

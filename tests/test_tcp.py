@@ -1,6 +1,7 @@
 """Loopback-TCP mode: the same actors over real sockets."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -18,12 +19,12 @@ from ssmmp.tcp import PREAMBLE_TIMEOUT_S, TcpFabric, build_tcp_cluster
 from ssmmp.transport import ConnectionRefused, Endpoint
 
 
-def _wait(pred, timeout=8.0):
+def _wait(pred, timeout=8.0, poll=0.02):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if pred():
             return True
-        time.sleep(0.02)
+        time.sleep(poll)
     return False
 
 
@@ -98,6 +99,90 @@ def test_kill_agent_gives_the_same_checks_over_both_transports():
                        "correlation", "wire_grammar", "replay_equivalence"}
 
 
+def test_registration_timeout_is_a_verdict():
+    before = set(threading.enumerate())
+    scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
+    report = run_scenario_tcp(scenario, seed=0, register_timeout_s=0)
+    assert not report.ok
+    failed = [v for v in report.invariants if not v.ok]
+    assert [v.name for v in failed] == ["registration"]
+    assert _wait(lambda: set(threading.enumerate()) <= before), \
+        [t.name for t in set(threading.enumerate()) - before]
+
+
+def _booted_fig1_cluster(fig1):
+    cluster = build_tcp_cluster([fig1], "fd00::1",
+                                [NodeDef("fd00::a1", ["A", "B"])])
+    assert _wait(lambda: all(a.registered for a in cluster.agents.values()))
+    cluster.manager_loop.post(cluster.manager.start_app)
+    assert _wait(lambda: ("A", 1) in cluster.runtimes
+                 and bool(cluster.manager.running_instances("A")))
+    return cluster
+
+
+def _open_close_pairs(cluster, pairs: int) -> None:
+    """Open plug P of A.1 and close it again, one session at a time."""
+    manager = cluster.manager
+    rt = cluster.runtimes[("A", 1)]
+    for _ in range(pairs):
+        opened = []
+        rt._loop.post(lambda: rt.open_session(
+            "P", on_established=lambda _rt, handle: opened.append(handle)))
+        assert _wait(lambda: opened
+                     and len(manager.established_sessions()) == 1, poll=0.001)
+        record = manager.established_sessions()[0]
+        rt._loop.post(lambda: rt.close_session(opened[0]))
+        assert _wait(lambda: record.state is SessionState.CLOSED, poll=0.001)
+
+
+def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):
+    """The peak thread count is fixed at the main thread, the fabric's one
+    I/O thread and one ActorLoop per actor, however many sessions run."""
+    counts: list[int] = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        start(thread)
+        counts.append(threading.active_count())
+
+    # The count only rises when a thread starts, so this sees its peak.
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    before = set(threading.enumerate())
+    peaks = []
+    for pairs in (5, 40):
+        counts.clear()
+        cluster = _booted_fig1_cluster(fig1)
+        try:
+            _open_close_pairs(cluster, pairs)
+            counts.append(threading.active_count())
+            peak = max(counts)
+            assert peak <= len(before) + 1 + len(cluster.fabric._loops), \
+                [t.name for t in threading.enumerate()]
+            peaks.append(peak)
+        finally:
+            cluster.shutdown()
+        assert _wait(lambda: set(threading.enumerate()) <= before)
+    assert peaks[0] == peaks[1]
+
+
+def test_closed_channels_leave_the_fabric(fig1):
+    cluster = _booted_fig1_cluster(fig1)
+    fabric = cluster.fabric
+    try:
+        _open_close_pairs(cluster, 1)  # the first session spawns B.1
+        control_channels = len(fabric._channels)
+        listeners = len(fabric._listeners)
+        _open_close_pairs(cluster, 200)
+        assert _wait(lambda: len(fabric._channels) == control_channels)
+        assert len(fabric._channels) == sum(ch.is_open
+                                            for ch in fabric._channels)
+        assert len(fabric._listeners) == listeners
+        assert [e for loop in fabric._loops for e in loop.errors] == []
+        assert fabric._io.errors == []
+    finally:
+        cluster.shutdown()
+
+
 def test_tcp_shutdown_stops_every_thread(fig1):
     before = set(threading.enumerate())
     cluster = build_tcp_cluster([fig1], "fd00::1",
@@ -144,6 +229,88 @@ def test_silent_connector_is_closed_after_preamble_timeout(acceptor):
         assert raw.recv(64) == b""
     assert PREAMBLE_TIMEOUT_S * 0.9 <= time.monotonic() - t0
     assert accepted == []
+
+
+def test_both_ends_of_a_channel_set_nodelay(acceptor):
+    fabric, accepted = acceptor
+    fabric.add_node("fd00::a2")
+    channel, _m, _l = fabric.env("fd00::a2", "connector").connect(
+        Endpoint("fd00::a1", 7000))
+    try:
+        assert _wait(lambda: len(accepted) == 1)
+        accepted_channel = next(ch for ch in fabric._channels
+                                if ch is not channel)
+        for ch in (channel, accepted_channel):
+            assert ch._sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+    finally:
+        channel.close()
+
+
+def test_timers_fire_in_deadline_order_until_cancelled():
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    env = fabric.env("fd00::a1", "timers")
+    fired: list = []
+    def schedule():
+        # On the actor's loop, as actors do: no fire can run in between.
+        for delay in (150, 50, 100):
+            env.schedule(delay, lambda d=delay: fired.append(d))
+        env.schedule(75, lambda: fired.append("cancelled")).cancel()
+
+    try:
+        env.call(schedule)
+        ticks = env.schedule_repeating(5, lambda: fired.append("tick"))
+        assert _wait(lambda: fired.count("tick") >= 3 and 150 in fired)
+        assert [f for f in fired if f != "tick"] == [50, 100, 150]
+        stopped = []
+        env.call(lambda: (ticks.cancel(), stopped.append(fired.count("tick"))))
+        assert _wait(lambda: stopped)
+        time.sleep(0.05)
+        assert fired.count("tick") == stopped[0]
+        assert "cancelled" not in fired
+        assert fabric._loops[0].errors == [] and fabric._io.errors == []
+    finally:
+        fabric.shutdown()
+
+
+def test_timers_from_many_threads_fire_once_unless_cancelled():
+    """Threads racing on the timer heap (and its compaction) lose no timer
+    and fire none twice; a cancelled one never fires."""
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    env = fabric.env("fd00::a1", "timers")
+    fired: list[tuple[int, int]] = []
+    cancelled: set[tuple[int, int]] = set()
+
+    def schedule_many(worker: int) -> None:
+        for i in range(300):
+            key = (worker, i)
+            timer = env.schedule(200 + i % 7,
+                                 lambda key=key: fired.append(key))
+            if i % 3 == 0:
+                timer.cancel()
+                cancelled.add(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=schedule_many, args=(w,))
+                   for w in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = {(w, i) for w in range(4) for i in range(300)} - cancelled
+    try:
+        assert _wait(lambda: len(fired) >= len(expected))
+        time.sleep(0.05)
+        assert len(fired) == len(set(fired)) and set(fired) == expected
+    finally:
+        fabric.shutdown()
 
 
 def test_bad_session_reply_refuses_the_connect():
