@@ -8,6 +8,7 @@ as pending correlation entries and resumed by the matching response.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -16,6 +17,9 @@ from . import wire
 from .graph import AbstractGraph, ServiceKind, outgoing_connections
 from .transport import ChannelClosed
 from .wire import Message, MessageType as MT, SubType as ST
+
+
+SessionKey = tuple[str, int | None, str, int, int | None]
 
 
 class AgentStatus(Enum):
@@ -82,7 +86,7 @@ class SessionRecord:
     state: SessionState = SessionState.PENDING
     close_reason: str = ""
 
-    def key(self) -> tuple[str, int | None, str, int, int | None]:
+    def key(self) -> SessionKey:
         return (self.source_address, self.plug_port,
                 self.dest_address, self.socket_port, self.session_port)
 
@@ -133,20 +137,27 @@ class DnsTable:
 
 
 class PortPool:
-    """Per-node listener ports from 20000 up; freed ports are reused last."""
+    """Per-node listener ports from 20000 up; freed ports are reused last,
+    oldest first."""
 
     def __init__(self, start: int = 20000, end: int = 39999):
         self._next = start
         self._end = end
-        self._freed: list[int] = []
+        self._freed: deque[int] = deque()
         self.allocated: set[int] = set()
 
-    def alloc(self) -> int:
+    def available(self) -> int:
+        return self._end - self._next + 1 + len(self._freed)
+
+    def alloc(self) -> int | None:
+        """The next free port, or None when every port is in use."""
         if self._next <= self._end:
             port = self._next
             self._next += 1
+        elif self._freed:
+            port = self._freed.popleft()
         else:
-            port = self._freed.pop(0)
+            return None
         self.allocated.add(port)
         return port
 
@@ -202,7 +213,16 @@ class Manager:
         self.knowledge_base: list[AbstractGraph] = list(graphs)
         self.agents: dict[str, AgentRecord] = {}
         self.instances: dict[tuple[str, int], InstanceRecord] = {}
+        # Every established record, in order; closed ones stay for the report.
         self.sessions: list[SessionRecord] = []
+        # The open ones among them, in the same order: by key, and by each
+        # instance and node they touch. Filled where an ack establishes a
+        # record and emptied only by _close_session.
+        self._open_sessions: dict[SessionKey, SessionRecord] = {}
+        self._sessions_by_instance: dict[
+            tuple[str, int], dict[SessionKey, SessionRecord]] = {}
+        self._sessions_by_node: dict[str, dict[SessionKey, SessionRecord]] = {}
+        self._established_keys: set[SessionKey] = set()
         self.dns = DnsTable()
         self.journal: list[tuple[int, str, str]] = []
         self._ids = wire.IdCounter()
@@ -380,13 +400,17 @@ class Manager:
         if node is None:
             self._log(f"execute: no capable agent for {service}")
             return None
-        iid = self._instance_ids.get(service, 0) + 1
-        self._instance_ids[service] = iid
         if spec.kind is ServiceKind.GATEWAY:
             ports = {s: p for s, p in spec.fixed_ports}
         else:
             pool = self._pool(node)
+            if pool.available() < len(spec.sockets):
+                self._log(f"execute: no free listener port on {node} "
+                          f"for {service}")
+                return None
             ports = {s: pool.alloc() for s in spec.sockets}
+        iid = self._instance_ids.get(service, 0) + 1
+        self._instance_ids[service] = iid
         plug_config = {e.plug: e.dest for e in outgoing_connections(g, service)}
         record = InstanceRecord(
             service, iid, node, ports, plug_config,
@@ -478,8 +502,7 @@ class Manager:
         self._send(agent_addr, msg)
 
     def _session_load(self, record: InstanceRecord) -> int:
-        return sum(1 for s in self.sessions
-                   if s.state is not SessionState.CLOSED and s.touches(record))
+        return len(self._sessions_by_instance.get(record.key, ()))
 
     def handle_session_request(self, addr: str, msg: Message) -> None:
         mid = msg.message_id
@@ -552,14 +575,30 @@ class Manager:
             return
         record.plug_port = msg.get_int("source_plug_port")
         record.session_port = msg.get_int("dest_socket_new_port")
-        dup = [s for s in self.sessions
-               if s.state is not SessionState.CLOSED and s.key() == record.key()]
-        if dup:
-            self._log(f"session key collision ignored: {record.key()}")
+        key = record.key()
+        if key in self._open_sessions:
+            self._log(f"session key collision ignored: {key}")
             return
         record.state = SessionState.ESTABLISHED
         self.sessions.append(record)
+        self._open_sessions[key] = record
+        self._established_keys.add(key)
+        for index, at in self._session_buckets(record):
+            index.setdefault(at, {})[key] = record
         self._touch_session_instances(record)
+
+    def _session_buckets(self, record: SessionRecord):
+        """(index, bucket key) of each per-instance and per-node bucket that
+        holds `record` while it is open."""
+        return ((self._sessions_by_instance,
+                 (record.source_service_name, record.source_instance_id)),
+                (self._sessions_by_instance,
+                 (record.dest_service_name, record.dest_instance_id)),
+                (self._sessions_by_node, record.source_address),
+                (self._sessions_by_node, record.dest_address))
+
+    def _open_sessions_of(self, instance: InstanceRecord) -> list[SessionRecord]:
+        return list(self._sessions_by_instance.get(instance.key, {}).values())
 
     def _touch_session_instances(self, record: SessionRecord) -> None:
         now = self.env.now_ms()
@@ -573,17 +612,22 @@ class Manager:
 
     def _find_session(self, na_i: str, m: int, na_j: str, k: int, l: int
                       ) -> SessionRecord | None:
-        for s in self.sessions:
-            if s.state is not SessionState.CLOSED \
-                    and s.key() == (na_i, m, na_j, k, l):
-                return s
-        return None
+        return self._open_sessions.get((na_i, m, na_j, k, l))
 
     def _close_session(self, record: SessionRecord, reason: str) -> None:
         if record.state is SessionState.CLOSED:
             return
         record.state = SessionState.CLOSED
         record.close_reason = reason
+        key = record.key()
+        if self._open_sessions.get(key) is record:  # never-acked: not indexed
+            del self._open_sessions[key]
+            for index, at in self._session_buckets(record):
+                bucket = index.get(at)
+                if bucket is not None:  # source and dest may share a bucket
+                    bucket.pop(key, None)
+                    if not bucket:
+                        del index[at]
         self._touch_session_instances(record)
         for key in ((record.source_service_name, record.source_instance_id),
                     (record.dest_service_name, record.dest_instance_id)):
@@ -601,7 +645,7 @@ class Manager:
         if record is not None:
             self._close_session(record, "reported")
             return
-        if any(s.key() == key for s in self.sessions):
+        if key in self._established_keys:
             return  # the other side already reported this close
         self._log(f"close_info matched no session: {wire.NOT_FOUND}")
 
@@ -687,8 +731,7 @@ class Manager:
     def request_graceful_shutdown(self, instance: InstanceRecord) -> None:
         if instance.state not in (InstanceState.RUNNING, InstanceState.DRAINING):
             return
-        open_sessions = [s for s in self.sessions
-                         if s.state is not SessionState.CLOSED and s.touches(instance)]
+        open_sessions = self._open_sessions_of(instance)
         if open_sessions:
             instance.state = InstanceState.DRAINING
             for s in open_sessions:
@@ -704,8 +747,7 @@ class Manager:
     def _maybe_finish_drain(self, instance: InstanceRecord) -> None:
         if instance.state is not InstanceState.DRAINING:
             return
-        if any(s.state is not SessionState.CLOSED and s.touches(instance)
-               for s in self.sessions):
+        if instance.key in self._sessions_by_instance:
             return
         if any(p.instance is instance for p in self._pending_shutdown.values()):
             return
@@ -764,12 +806,13 @@ class Manager:
         # Hard: 2xx killed, 404 already gone; both mean the process is dead.
         if wire.is_success(status) or status == wire.NOT_FOUND:
             self._mark_instance_closed(instance, "hard")
-            for s in self.sessions:
-                if s.state is not SessionState.CLOSED and s.touches(instance):
-                    side = ("dest" if (s.source_service_name, s.source_instance_id)
-                            == instance.key else "source")
-                    self.request_session_close(s, side)
-                    self._close_session(s, "peer_killed")
+            for s in self._open_sessions_of(instance):
+                if s.state is SessionState.CLOSED:
+                    continue
+                side = ("dest" if (s.source_service_name, s.source_instance_id)
+                        == instance.key else "source")
+                self.request_session_close(s, side)
+                self._close_session(s, "peer_killed")
         else:
             self._log(f"hard shutdown of {instance.canonical_name} failed: {status}")
 
@@ -797,8 +840,8 @@ class Manager:
                 ch.close()
         # Sessions touching the node: ask the surviving side to close, then
         # regard them as closed here regardless.
-        for s in list(self.sessions):
-            if s.state is SessionState.CLOSED or not s.touches_node(addr):
+        for s in list(self._sessions_by_node.get(addr, {}).values()):
+            if s.state is SessionState.CLOSED:
                 continue
             if s.source_address == addr and s.dest_address != addr:
                 self.request_session_close(s, "dest")

@@ -3,11 +3,12 @@
 Every logical node address maps to a distinct loopback IP; connections bind
 their node's IP so the peer's logical identity is recoverable. Real TCP does
 not expose a per-session listener port, so the acceptor allocates a logical
-one and announces it in a one-line preamble; the connector's preamble carries
-the connect metadata the simulated fabric passes natively (plug name or
-instance identity). Either side waits at most PREAMBLE_TIMEOUT_S for the
-other's preamble, and a malformed one closes the connection. Runs are
-wall-clock and excluded from determinism guarantees.
+one and announces it in a one-line preamble: from the simulator's ephemeral
+range, 40000 up, then the ports of released channels, oldest first. The
+connector's preamble carries the connect metadata the simulated fabric passes
+natively (plug name or instance identity). Either side waits at most
+PREAMBLE_TIMEOUT_S for the other's preamble, and a malformed one closes the
+connection. Runs are wall-clock and excluded from determinism guarantees.
 
 Threads: each actor owns one ActorLoop thread, and every callback for that
 actor runs there. Each fabric owns one I/O thread, which runs a selector and
@@ -34,8 +35,9 @@ import time
 from functools import partial
 
 from .cluster import Cluster
-from .transport import (AcceptInfo, ChannelClosed, ConnectionRefused, Endpoint,
-                        NodeDown, PortInUse, Timer)
+from .transport import (EPHEMERAL_END, EPHEMERAL_START, AcceptInfo,
+                        ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
+                        PortInUse, Timer)
 
 PREAMBLE_TIMEOUT_S = 2.0
 _RECV_BYTES = 65536
@@ -247,10 +249,12 @@ class _IoLoop:
 class TcpChannel:
     """One end of a connection. The I/O thread reads it and posts what it
     reads to the owning actor's loop; `send` writes from the caller's thread.
-    The socket is closed on the I/O thread once either end has closed."""
+    The socket is closed on the I/O thread once either end has closed; an
+    accepted channel then hands its logical session port back to the fabric."""
 
     def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
-                 local: Endpoint, remote: Endpoint, kind: str):
+                 local: Endpoint, remote: Endpoint, kind: str,
+                 session_port: int | None = None):
         self._fabric = fabric
         self._sock = sock
         self._loop = loop
@@ -263,6 +267,7 @@ class TcpChannel:
         self.on_close = None
         self._inbox: list[bytes] = []
         self._pending_close = False
+        self._session_port = session_port
 
     @property
     def is_open(self) -> bool:
@@ -271,8 +276,10 @@ class TcpChannel:
     def set_handlers(self, on_data, on_close) -> None:
         self.on_data = on_data
         self.on_close = on_close
-        while self._inbox:
-            self.on_data(self, self._inbox.pop(0))
+        if self._inbox:  # data that came before the handlers, in order
+            inbox, self._inbox = self._inbox, []
+            for data in inbox:
+                self.on_data(self, data)
         if self._pending_close:
             self._pending_close = False
             if self.on_close is not None:
@@ -304,10 +311,14 @@ class TcpChannel:
         self._fabric._io.call_soon(self._release)
 
     def _release(self) -> None:
-        """On the I/O thread: stop reading, close, and forget the channel."""
+        """On the I/O thread: stop reading, close, forget the channel, and
+        free its session port (once, though `_drop` may race `close`)."""
         self._fabric._io.unregister(self._sock)
         with self._send_lock:
             self._sock.close()
+        port, self._session_port = self._session_port, None
+        if port is not None:
+            self._fabric.free_session_port(self.local.addr, port)
         self._fabric._forget(self._fabric._channels, self)
 
     def _on_readable(self) -> None:
@@ -387,7 +398,7 @@ class _TcpListener:
         peer_ep = Endpoint(fabric.logical(peer[0]), peer[1])
         channel = TcpChannel(fabric, conn, env.loop,
                              Endpoint(env.addr, session_port), peer_ep,
-                             self._kind)
+                             self._kind, session_port)
         fabric._track(fabric._channels, channel)
         info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
         env.loop.post(partial(self._on_accept, channel, info))
@@ -424,13 +435,18 @@ class _Handshake:
         self._io.unregister(self._conn)
         line, _, rest = self._buf.partition(b"\n")
         listener = self._listener
-        addr = listener._env.addr
+        fabric, addr = listener._fabric, listener._env.addr
         try:
             meta = _parse_meta(line.decode())
-            session_port = listener._fabric.alloc_session_port(addr)
-            self._conn.sendall(f"session {session_port}\n".encode())
-        except (ConnectionRefused, UnicodeDecodeError, OSError):
+            session_port = fabric.alloc_session_port(addr)
+        except (ConnectionRefused, UnicodeDecodeError):
             self._conn.close()
+            return
+        try:
+            self._conn.sendall(f"session {session_port}\n".encode())
+        except OSError:
+            self._conn.close()
+            fabric.free_session_port(addr, session_port)
             return
         listener._accepted(self._conn, self._peer, meta, session_port, rest)
 
@@ -499,7 +515,8 @@ class TcpFabric:
         self._subnet = f"127.31.{next(_SUBNET_SEQ) % 250}"
         self._addr_to_ip: dict[str, str] = {}
         self._ip_to_addr: dict[str, str] = {}
-        self._session_ports: dict[str, int] = {}
+        self._session_ports: dict[str, int] = {}  # next never-used port
+        self._freed_session_ports: dict[str, collections.deque[int]] = {}
         self._down: set[str] = set()
         self._lock = threading.Lock()
         self._stopped = False
@@ -516,7 +533,8 @@ class TcpFabric:
             ip = f"{self._subnet}.{len(self._addr_to_ip) + 1}"
             self._addr_to_ip[addr] = ip
             self._ip_to_addr[ip] = addr
-            self._session_ports[addr] = 40000
+            self._session_ports[addr] = EPHEMERAL_START
+            self._freed_session_ports[addr] = collections.deque()
 
     def env(self, addr: str, name: str) -> TcpEnv:
         """A node-bound environment on a new ActorLoop thread `name`."""
@@ -537,10 +555,22 @@ class TcpFabric:
         return self._ip_to_addr.get(ip, ip)
 
     def alloc_session_port(self, addr: str) -> int:
+        """A logical session port on `addr`: a never-used one while any is
+        left, then the longest-freed one. Raises ConnectionRefused when
+        every port is held by an open channel."""
         with self._lock:
             port = self._session_ports[addr]
-            self._session_ports[addr] = port + 1
-            return port
+            if port <= EPHEMERAL_END:
+                self._session_ports[addr] = port + 1
+                return port
+            freed = self._freed_session_ports[addr]
+            if not freed:
+                raise ConnectionRefused(f"session ports exhausted on {addr}")
+            return freed.popleft()
+
+    def free_session_port(self, addr: str, port: int) -> None:
+        with self._lock:
+            self._freed_session_ports[addr].append(port)
 
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)

@@ -8,18 +8,21 @@ channels differently. Per-channel FIFO always holds.
 
 Connecting allocates an ephemeral port m on the source node and a fresh
 per-session port l on the destination node; the acceptor learns the peer
-endpoint and any connect metadata, the connector learns l.
+endpoint and any connect metadata, the connector learns l. A channel's port
+is bound while it is open and free again once it closes. Each node hands out
+ephemeral ports in rising order from 40000, wraps to 40000 after 65535, and
+skips ports still bound.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 EPHEMERAL_START = 40000
 EPHEMERAL_END = 65535
+_QUEUE_COMPACT_MIN = 64  # below this many entries, never compact the queue
 
 
 class Endpoint(NamedTuple):
@@ -30,8 +33,7 @@ class Endpoint(NamedTuple):
         return f"{self.addr}:{self.port}"
 
 
-@dataclass(frozen=True)
-class NetEvent:
+class NetEvent(NamedTuple):
     seq: int
     time_ms: int
     kind: str  # connect | accept | deliver | close | drop
@@ -100,8 +102,10 @@ class Channel:
     def set_handlers(self, on_data, on_close) -> None:
         self.on_data = on_data
         self.on_close = on_close
-        while self._inbox:
-            self.on_data(self, self._inbox.pop(0))
+        if self._inbox:  # data that came before the handlers, in order
+            inbox, self._inbox = self._inbox, []
+            for data in inbox:
+                self.on_data(self, data)
         if self._pending_close:
             self._pending_close = False
             self._fire_close()
@@ -115,8 +119,7 @@ class Channel:
         """Close both ends; the peer is notified after one hop of latency."""
         if not self._open:
             return
-        self._open = False
-        self._net._release_port(self.local)
+        self._net._unbind(self)
         self._net._event("close", self.local, self.remote)
         peer = self._peer
         if peer is not None and peer._open:
@@ -125,8 +128,7 @@ class Channel:
     def _close_from_peer(self) -> None:
         if not self._open:
             return
-        self._open = False
-        self._net._release_port(self.local)
+        self._net._unbind(self)
         if self.on_close is None and self.on_data is None:
             self._pending_close = True
         else:
@@ -189,9 +191,13 @@ class SimNetwork:
         self._now = 0
         self._seq = 0
         self._queue: list[tuple[int, float, int, object]] = []
+        self._compact_at = _QUEUE_COMPACT_MIN
         self._nodes: dict[str, _Node] = {}
         self._listeners: dict[Endpoint, Listener] = {}
-        self._channels: list[Channel] = []
+        # Open channels in creation order, by local endpoint (unique:
+        # allocation skips bound ports and listen refuses them); a channel
+        # leaves when it closes, which frees its port.
+        self._channels: dict[Endpoint, Channel] = {}
         self._broken: set[frozenset[str]] = set()
         self.events: list[NetEvent] = []
         self.horizon_ms: int | None = None
@@ -212,7 +218,16 @@ class SimNetwork:
         return ev
 
     def _push(self, time_ms: int, tie: float, entry) -> None:
-        heapq.heappush(self._queue, (time_ms, tie, self._next_seq(), entry))
+        queue = self._queue
+        if len(queue) >= self._compact_at:
+            # A cancelled timer (most are request timeouts) would wait for
+            # its time; drop them here so that the queue stays within twice
+            # its live entries. (time, tie, seq) is a total order, so the
+            # live entries still run in the same order.
+            queue[:] = [e for e in queue if e[3].timer.alive]
+            heapq.heapify(queue)
+            self._compact_at = max(_QUEUE_COMPACT_MIN, 2 * len(queue))
+        heapq.heappush(queue, (time_ms, tie, self._next_seq(), entry))
 
     def _hop_latency(self) -> int:
         if self._latency_fn is not None:
@@ -228,9 +243,14 @@ class SimNetwork:
         return timer
 
     def schedule(self, delay_ms: int, fn, tag: str = "timer") -> Timer:
+        """Run `fn` after `delay_ms`. A `retry` due past the horizon is
+        dropped, as repeating ticks are, so that an actor retrying for ever
+        (an agent whose manager died) cannot keep the run going."""
         timer = Timer()
-        self._push(self._now + delay_ms, self._rng.random(),
-                   _QueueEntry(fn, timer, tag))
+        tie = self._rng.random()
+        due = self._now + delay_ms
+        if tag != "retry" or self.horizon_ms is None or due <= self.horizon_ms:
+            self._push(due, tie, _QueueEntry(fn, timer, tag))
         return timer
 
     def schedule_abs(self, time_ms: int, fn, tag: str = "timeline") -> Timer:
@@ -269,10 +289,17 @@ class SimNetwork:
         return False
 
     def run(self, until_ms: int | None = None) -> None:
-        while self._queue:
-            if until_ms is not None and self._queue[0][0] > until_ms:
+        """Step until the queue is drained or the next live entry is due
+        after `until_ms`."""
+        queue = self._queue
+        while queue:
+            time_ms, _tie, _seq, entry = queue[0]
+            if not entry.timer.alive:
+                heapq.heappop(queue)
+            elif until_ms is not None and time_ms > until_ms:
                 return
-            self.step()
+            else:
+                self.step()
 
     def pending_tags(self) -> set[str]:
         return {e.tag for _, _, _, e in self._queue if e.timer.alive}
@@ -298,9 +325,9 @@ class SimNetwork:
         node.up = False
         for ep in [ep for ep in self._listeners if ep.addr == addr]:
             self._listeners.pop(ep)
-        for ch in self._channels:
-            if ch.is_open and ch.local.addr == addr:
-                ch._open = False
+        for ch in list(self._channels.values()):
+            if ch.local.addr == addr:
+                self._unbind(ch)
                 self._event("close", ch.local, ch.remote, "node_down")
                 peer = ch._peer
                 if peer is not None and peer._open:
@@ -313,23 +340,27 @@ class SimNetwork:
         self._broken.discard(frozenset((a, b)))
 
     def port_in_use(self, addr: str, port: int) -> bool:
-        if Endpoint(addr, port) in self._listeners:
-            return True
-        return any(ch.is_open and ch.local == Endpoint(addr, port)
-                   for ch in self._channels)
+        ep = Endpoint(addr, port)
+        return ep in self._listeners or ep in self._channels
 
     def _alloc_ephemeral(self, addr: str) -> int:
         node = self._nodes[addr]
         port = node.next_ephemeral
-        while self.port_in_use(addr, port):
+        for _ in range(EPHEMERAL_END - EPHEMERAL_START + 1):
+            if port > EPHEMERAL_END:
+                port = EPHEMERAL_START
+            if not self.port_in_use(addr, port):
+                node.next_ephemeral = port + 1
+                return port
             port += 1
-        if port > EPHEMERAL_END:
-            raise TransportError(f"ephemeral ports exhausted on {addr}")
-        node.next_ephemeral = port + 1
-        return port
+        # Refused like any other failed connect, so callers answer with a
+        # status rather than a traceback.
+        raise ConnectionRefused(f"ephemeral ports exhausted on {addr}")
 
-    def _release_port(self, ep: Endpoint) -> None:
-        pass  # ports stay burned within a run; desk-scale pools never wrap
+    def _unbind(self, ch: Channel) -> None:
+        """Mark `ch` closed and free its local port."""
+        ch._open = False
+        del self._channels[ch.local]
 
     # -- connectivity -------------------------------------------------------
 
@@ -361,7 +392,8 @@ class SimNetwork:
         near = Channel(self, Endpoint(src_addr, m), Endpoint(dst.addr, l), kind, tie)
         far = Channel(self, Endpoint(dst.addr, l), Endpoint(src_addr, m), kind, tie)
         near._peer, far._peer = far, near
-        self._channels += [near, far]
+        self._channels[near.local] = near
+        self._channels[far.local] = far
         self._event("connect", near.local, dst, f"l={l}")
         info = AcceptInfo(near.local, dst.port, l, dict(meta or {}))
 
@@ -382,7 +414,7 @@ class SimNetwork:
             # Broken path: both ends observe a close instead of a delivery.
             self._event("drop", ch.local, ch.remote, f"len={len(data)}")
             peer = ch._peer
-            ch._open = False
+            self._unbind(ch)
             self._event("close", ch.local, ch.remote, "link_broken")
             if peer is not None and peer._open:
                 self._after_channel(ch, peer._close_from_peer)
@@ -394,8 +426,8 @@ class SimNetwork:
         """One entry per live connection (near end only), data kind."""
         out = []
         seen = set()
-        for ch in self._channels:
-            if not ch.is_open or ch.kind != "data":
+        for ch in self._channels.values():
+            if ch.kind != "data":
                 continue
             key = frozenset((ch.local, ch.remote))
             if key in seen:

@@ -1,0 +1,144 @@
+"""The manager's session indices and the simulator's port index agree with
+a scan of the state they index, and keep per-open work flat."""
+
+import pytest
+
+from conftest import FIXTURES, make_cluster
+
+from ssmmp.harness import invariants
+from ssmmp.harness.generator import generate_scenario
+from ssmmp.harness.runner import run_scenario
+from ssmmp.harness.scenario import load_scenario
+from ssmmp.manager import SessionRecord, SessionState
+from ssmmp.transport import Channel, Endpoint
+
+
+def _scanned_open(manager):
+    return [s for s in manager.sessions if s.state is not SessionState.CLOSED]
+
+
+def _check_indices(manager, net, channels):
+    """Every index against a scan of `manager.sessions` and of every channel
+    ever created."""
+    open_ = _scanned_open(manager)
+    assert list(manager._open_sessions.values()) == open_
+    for inst in manager.instances.values():
+        touching = [s for s in open_ if s.touches(inst)]
+        assert manager.open_session_count(inst) == len(touching)
+        assert manager._open_sessions_of(inst) == touching
+    for addr in {s.source_address for s in manager.sessions} \
+            | {s.dest_address for s in manager.sessions}:
+        assert list(manager._sessions_by_node.get(addr, {}).values()) == \
+            [s for s in open_ if s.touches_node(addr)]
+    assert manager._established_keys == {s.key() for s in manager.sessions}
+    assert list(net._channels.values()) == [ch for ch in channels
+                                            if ch.is_open]
+    endpoints = {ch.local for ch in channels} | set(net._listeners)
+    for ep in endpoints | {Endpoint(ep.addr, ep.port + 1) for ep in endpoints}:
+        scanned = ep in net._listeners or any(
+            ch.is_open and ch.local == ep for ch in channels)
+        assert net.port_in_use(ep.addr, ep.port) == scanned, ep
+
+
+def _scenarios():
+    for path in sorted(FIXTURES.glob("*.scenario")):
+        yield path.stem, load_scenario(path)
+    for seed in (3, 17, 42, 101):
+        yield f"mixed-{seed}", generate_scenario(seed, "mixed")
+
+
+@pytest.mark.parametrize("name,scenario", list(_scenarios()),
+                         ids=[name for name, _ in _scenarios()])
+def test_indices_match_scans_at_every_quiescent_point(name, scenario,
+                                                      monkeypatch):
+    channels: list[Channel] = []
+    created = Channel.__init__
+
+    def recording_init(ch, *args, **kwargs):
+        created(ch, *args, **kwargs)
+        channels.append(ch)
+
+    monkeypatch.setattr(Channel, "__init__", recording_init)
+    checked = []
+    sweep = invariants.sweep
+
+    def checking_sweep(records, manager, cluster, net):
+        _check_indices(manager, net, channels)
+        checked.append(len(manager.sessions))
+        return sweep(records, manager, cluster, net)
+
+    monkeypatch.setattr(invariants, "sweep", checking_sweep)
+    run_scenario(scenario, seed=7)
+    assert checked
+
+
+def _booted_single_node(fig1_graph):
+    net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A", "B"])])
+    cluster.manager.start_app()
+    net.run(until_ms=net.now_ms() + 20)
+    return net, cluster
+
+
+def _open(net, cluster):
+    got = []
+    cluster.runtime("A", 1).open_session(
+        "P", on_established=lambda _rt, handle: got.append(handle),
+        on_failed=lambda _rt, _plug, status: got.append(status))
+    net.run(until_ms=net.now_ms() + 50)
+    assert len(got) == 1 and not isinstance(got[0], int), got
+    return got[0]
+
+
+def _close(net, cluster, handle):
+    cluster.runtime("A", 1).close_session(handle)
+    net.run(until_ms=net.now_ms() + 50)
+
+
+def test_one_more_open_costs_the_same_with_50_or_500_held(fig1_graph,
+                                                          monkeypatch):
+    calls = {"key": 0, "touches": 0}
+    for name in calls:
+        original = getattr(SessionRecord, name)
+
+        def counted(record, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(record, *args)
+
+        monkeypatch.setattr(SessionRecord, name, counted)
+    per_open = []
+    for held in (50, 500):
+        net, cluster = _booted_single_node(fig1_graph)
+        for _ in range(held):
+            _open(net, cluster)
+        for name in calls:
+            calls[name] = 0
+        _open(net, cluster)
+        per_open.append(dict(calls))
+        assert len(_scanned_open(cluster.manager)) == held + 1
+    assert per_open[0] == per_open[1]
+
+
+def test_churn_leaves_only_open_channels_in_the_fabric(fig1_graph):
+    net, cluster = _booted_single_node(fig1_graph)
+    _close(net, cluster, _open(net, cluster))  # the first session spawns B.1
+    baseline = len(net._channels)
+    for _ in range(200):
+        _close(net, cluster, _open(net, cluster))
+    assert len(net._channels) == baseline
+    assert all(ch.is_open for ch in net._channels.values())
+    assert cluster.manager._open_sessions == {}
+    assert cluster.manager._sessions_by_instance == {}
+
+
+def test_churn_past_port_65535_wraps_to_free_ports(fig1_graph):
+    net, cluster = _booted_single_node(fig1_graph)
+    _close(net, cluster, _open(net, cluster))
+    net._nodes["fd00::a1"].next_ephemeral = 65530
+    for _ in range(10):
+        _close(net, cluster, _open(net, cluster))
+    records = cluster.manager.sessions[1:]
+    assert len(records) == 10
+    assert all(s.state is SessionState.CLOSED for s in records)
+    ports = [p for s in records for p in (s.plug_port, s.session_port)]
+    assert all(40000 <= p <= 65535 for p in ports)
+    assert any(p < 65530 for p in ports)  # it wrapped

@@ -561,3 +561,31 @@ def test_port_pool_reuses_freed_last():
     pool.free(100)
     assert pool.alloc() == 102  # fresh before recycled
     assert pool.alloc() == 100
+
+
+def test_port_pool_of_two_ports_runs_out_without_raising():
+    pool = PortPool(start=100, end=101)
+    assert [pool.alloc(), pool.alloc()] == [100, 101]
+    assert pool.available() == 0
+    assert pool.alloc() is None
+    pool.free(101)
+    pool.free(100)
+    assert pool.available() == 2
+    assert [pool.alloc(), pool.alloc()] == [101, 100]  # oldest freed first
+    assert pool.alloc() is None
+
+
+def test_exhausted_port_pool_is_a_logged_refusal(fig1_graph):
+    net, cluster = _booted(fig1_graph)
+    manager = cluster.manager
+    manager._pools["fd00::a1"] = PortPool(start=20000, end=20001)
+    # service-4 has three sockets: nothing is taken and no id is used up
+    assert manager.execute_instance("service-4") is None
+    assert any("no free listener port" in text
+               for _t, kind, text in manager.journal if kind == "log")
+    assert manager._pools["fd00::a1"].available() == 2
+    assert manager.execute_instance("B") is not None
+    net.run(until_ms=net.now_ms() + 30)
+    assert [r.instance_id for r in manager.running_instances("B")] == [1]
+    assert manager.instances[("B", 1)].socket_ports == {"S": 20000}
+    assert "service-4" not in manager._instance_ids

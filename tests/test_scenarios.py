@@ -6,6 +6,7 @@ from ssmmp import wire
 from ssmmp.harness import run_scenario_file
 from ssmmp.harness.runner import run_scenario
 from ssmmp.harness.scenario import load_scenario
+from ssmmp.transport import SimNetwork
 from ssmmp.wire import MessageType as MT
 
 
@@ -44,6 +45,24 @@ def test_kill_agent():
     types = {r.message().msg_type for r in report.messages()}
     assert MT.SOURCE_SESSION_CLOSE_REQUEST in types
     assert MT.DEST_SESSION_CLOSE_REQUEST in types
+
+
+def test_kill_manager_ends_with_a_report(monkeypatch):
+    # The agents retry registration for ever; a step budget turns a run
+    # that never ends into a failure rather than a hung suite.
+    steps = []
+    step = SimNetwork.step
+
+    def budgeted_step(net):
+        steps.append(None)
+        assert len(steps) < 100_000, "run did not end"
+        return step(net)
+
+    monkeypatch.setattr(SimNetwork, "step", budgeted_step)
+    report = _run("kill_manager")
+    assert [r.text for r in report.records if r.text.endswith("node_down")] \
+        == ["close fd00::1:40000 -> fd00::a1:40000 node_down",
+            "close fd00::1:40001 -> fd00::a2:40000 node_down"]
 
 
 def test_idle_reap():

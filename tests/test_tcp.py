@@ -183,6 +183,30 @@ def test_closed_channels_leave_the_fabric(fig1):
         cluster.shutdown()
 
 
+def test_session_ports_of_released_channels_are_reused(fig1):
+    """Past 65535 the acceptor announces the ports of released channels,
+    oldest first, so opens keep succeeding."""
+    cluster = _booted_fig1_cluster(fig1)
+    fabric = cluster.fabric
+    try:
+        _open_close_pairs(cluster, 1)  # the first session spawns B.1
+        control_channels = len(fabric._channels)
+        assert _wait(lambda: len(fabric._freed_session_ports["fd00::a1"]) == 1)
+        first_port = cluster.manager.sessions[0].session_port
+        fabric._session_ports["fd00::a1"] = 65534
+        for _ in range(5):
+            _open_close_pairs(cluster, 1)
+            # The accepted end is released on the I/O thread, after the
+            # manager has seen the close.
+            assert _wait(lambda: len(fabric._channels) == control_channels)
+        ports = [s.session_port for s in cluster.manager.sessions[1:]]
+        assert ports == [65534, 65535, first_port, 65534, 65535]
+        assert [e for loop in fabric._loops for e in loop.errors] == []
+        assert fabric._io.errors == []
+    finally:
+        cluster.shutdown()
+
+
 def test_tcp_shutdown_stops_every_thread(fig1):
     before = set(threading.enumerate())
     cluster = build_tcp_cluster([fig1], "fd00::1",

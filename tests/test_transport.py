@@ -2,8 +2,9 @@
 
 import pytest
 
-from ssmmp.transport import (ChannelClosed, ConnectionRefused, Endpoint,
-                             NodeDown, PortInUse, SimNetwork)
+from ssmmp.transport import (EPHEMERAL_END, EPHEMERAL_START, ChannelClosed,
+                             ConnectionRefused, Endpoint, NodeDown, PortInUse,
+                             SimNetwork)
 
 
 def _two_nodes(seed=1):
@@ -58,6 +59,35 @@ def test_listen_port_conflict():
     with pytest.raises(PortInUse):
         net.listen("fd00::b", 9000, lambda ch, info: None)
     assert net.port_in_use("fd00::b", 9000)
+
+
+def test_ephemeral_ports_wrap_past_65535_and_skip_bound_ports():
+    net = _two_nodes()
+    _echo_listener(net, "fd00::a", 9000, [])
+    held, _m, _l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    assert (held.local.port, held.remote.port) == (40000, 40001)
+    net._nodes["fd00::a"].next_ephemeral = 65535
+    _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    assert (m, l) == (65535, 40002)  # the held channel binds 40000 and 40001
+    held.close()
+    net.run()  # the far end closes one hop later
+    net._nodes["fd00::a"].next_ephemeral = 65535
+    _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    assert (m, l) == (40000, 40001)  # 65535 is bound; closing freed the rest
+
+
+def test_ephemeral_ports_run_out_only_when_all_are_bound():
+    net = _two_nodes()
+    _echo_listener(net, "fd00::a", 9000, [])
+    ports = EPHEMERAL_END - EPHEMERAL_START + 1
+    channels = [net.connect("fd00::a", Endpoint("fd00::a", 9000))[0]
+                for _ in range(ports // 2)]  # each binds two ports on fd00::a
+    with pytest.raises(ConnectionRefused):
+        net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    channels[-1].close()
+    net.run()
+    _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    assert {m, l} == {channels[-1].local.port, channels[-1].remote.port}
 
 
 def test_kill_node_closes_channels_and_listeners():
@@ -122,6 +152,42 @@ def test_timers_fire_in_order_and_cancel():
     t.cancel()
     net.run()
     assert fired == ["a", "b"]
+
+
+def _timers_with_ties(cancel: bool):
+    """1000 timers over 7 due times; all but every tenth one are cancelled
+    (or, for the reference, left to fire as no-ops)."""
+    net = SimNetwork(seed=0)
+    fired = []
+    for i in range(1000):
+        live = i % 10 == 0
+        timer = net.schedule(10 + i % 7,
+                             lambda i=i, live=live: live and fired.append(i))
+        if cancel and not live:
+            timer.cancel()
+    return net, fired
+
+
+def test_cancelled_timers_leave_the_queue_and_live_ones_keep_order():
+    net, fired = _timers_with_ties(cancel=True)
+    assert len(net._queue) <= 2 * 100  # within twice the 100 live timers
+    reference, reference_fired = _timers_with_ties(cancel=False)
+    assert len(reference._queue) == 1000
+    net.run()
+    reference.run()
+    assert fired == reference_fired  # the same seeded order of ties
+    assert sorted(fired) == list(range(0, 1000, 10))
+
+
+def test_run_until_stops_before_a_live_entry_past_the_limit():
+    net = SimNetwork(seed=0)
+    fired = []
+    net.schedule(5, lambda: fired.append(5)).cancel()
+    net.schedule(20, lambda: fired.append(20))
+    net.run(until_ms=10)
+    assert fired == []
+    net.run()
+    assert fired == [20]
 
 
 def test_repeating_timer_respects_horizon():
