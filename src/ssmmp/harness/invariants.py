@@ -1,8 +1,15 @@
 """Global protocol invariants checked at quiescent points.
 
-Includes the independent replay oracle: the session table is rebuilt purely
-from the message trace (plus isolation decisions) and compared, record for
-record, with the control plane's actual table.
+The checks of live state (conservation, ports, DNS, isolation and the
+runtimes' handles) read the cluster as it is. The checks of the trace
+(knowledge asymmetry in messages, request/response correlation, the wire
+grammar and the replay oracle) run as one streaming `TraceChecker`: each
+sweep feeds it only the records appended since the last one, so a run visits
+every record once however many sweeps it makes.
+
+The independent replay oracle rebuilds the session table purely from the
+message trace (plus isolation decisions); every sweep compares it, record
+for record, with the control plane's actual table.
 """
 
 from __future__ import annotations
@@ -25,23 +32,23 @@ _DEST_SIDE_TYPES = {
 }
 
 
-def check_knowledge_asymmetry(records: list[TraceRecord],
-                              cluster) -> Verdict:
-    """No source-side artifact carries the dest instance id; no dest-side
-    artifact carries the source instance id or source service name."""
-    for rec in records:
-        if rec.kind != "msg":
-            continue
-        msg = rec.message()
-        names = set(msg.field_names())
-        if msg.msg_type in _SOURCE_SIDE_TYPES and "dest_service_instance_id" in names:
-            return Verdict(False, "knowledge_asymmetry",
-                           f"dest id leaked in {rec.render()}")
-        if msg.msg_type in _DEST_SIDE_TYPES and (
-                "source_service_instance_id" in names
-                or "source_service_name" in names):
-            return Verdict(False, "knowledge_asymmetry",
-                           f"source identity leaked in {rec.render()}")
+def _record_leak(rec: TraceRecord, msg: Message) -> Verdict | None:
+    """No source-side message carries the dest instance id; no dest-side
+    message carries the source instance id or source service name."""
+    names = msg.field_names()
+    if msg.msg_type in _SOURCE_SIDE_TYPES and "dest_service_instance_id" in names:
+        return Verdict(False, "knowledge_asymmetry",
+                       f"dest id leaked in {rec.render()}")
+    if msg.msg_type in _DEST_SIDE_TYPES and (
+            "source_service_instance_id" in names
+            or "source_service_name" in names):
+        return Verdict(False, "knowledge_asymmetry",
+                       f"source identity leaked in {rec.render()}")
+    return None
+
+
+def _handle_leak(cluster) -> Verdict:
+    """The same asymmetry for the handles the live runtimes hold."""
     for rt in cluster.live_runtimes():
         for h in rt.source_handles:
             if h.role == "source" and "dest_service_instance_id" in h.params:
@@ -132,35 +139,6 @@ _RESPONSE_OF = {
 }
 
 
-def check_correlation(records: list[TraceRecord]) -> Verdict:
-    """Every response in the trace answers a request with the same id that
-    previously travelled the reverse hop."""
-    seen_requests: set[tuple[str, str, int, MT]] = set()
-    for rec in records:
-        if rec.kind != "msg":
-            continue
-        msg = rec.message()
-        request_type = _RESPONSE_OF.get(msg.msg_type)
-        if request_type is None:
-            seen_requests.add((rec.src, rec.dst, msg.message_id, msg.msg_type))
-            continue
-        if (rec.dst, rec.src, msg.message_id, request_type) not in seen_requests:
-            return Verdict(False, "correlation",
-                           f"unmatched response {rec.render()}")
-    return Verdict(True, "correlation")
-
-
-def check_wire_grammar(records: list[TraceRecord]) -> Verdict:
-    for rec in records:
-        if rec.kind != "msg":
-            continue
-        try:
-            rec.message()
-        except wire.MessageError as e:
-            return Verdict(False, "wire_grammar", f"{rec.render()}: {e}")
-    return Verdict(True, "wire_grammar")
-
-
 # ---------------------------------------------------------------------------
 # Replay oracle
 
@@ -202,6 +180,9 @@ class ReplayOracle:
     def __init__(self) -> None:
         self.instances: dict[tuple[str, int], _ReplayInstance] = {}
         self.sessions: list[_ReplaySession] = []
+        # The sessions not yet closed, by key(); the duplicate-ack check
+        # keeps keys unique among them.
+        self._open: dict[tuple, _ReplaySession] = {}
         self._pending_exec: dict[int, _ReplayInstance] = {}
         self._pending_open: dict[tuple[str, int], _ReplaySession] = {}
         self._open_requests: dict[tuple[str, int], Message] = {}
@@ -250,11 +231,12 @@ class ReplayOracle:
                 return
             sess.m = msg.get_int("source_plug_port")
             sess.l = msg.get_int("dest_socket_new_port")
-            if any(x.state != "closed" and x.key() == sess.key()
-                   for x in self.sessions):
+            key = sess.key()
+            if key in self._open:
                 return
             sess.state = "established"
             self.sessions.append(sess)
+            self._open[key] = sess
         elif mt in (MT.SOURCE_SESSION_CLOSE_INFO, MT.DEST_SESSION_CLOSE_INFO) \
                 and msg.sub_type is ST.AGENT_TO_MANAGER:
             self._close_key(
@@ -286,11 +268,8 @@ class ReplayOracle:
             _tag, service, iid = entry
             if wire.is_success(msg.status) or msg.status == wire.NOT_FOUND:
                 self.instances.pop((service, iid), None)
-                for sess in self.sessions:
-                    if sess.state != "closed" and (
-                            (sess.a, sess.i) == (service, iid)
-                            or (sess.b, sess.j) == (service, iid)):
-                        sess.state = "closed"
+                self._close_where(lambda sess: (service, iid) in (
+                    (sess.a, sess.i), (sess.b, sess.j)))
 
     def _resolve_instance(self, service: str, node: str, socket: str,
                           port: int) -> int:
@@ -301,15 +280,18 @@ class ReplayOracle:
         return 0
 
     def _close_key(self, key) -> None:
-        for sess in self.sessions:
-            if sess.state != "closed" and sess.key() == key:
+        sess = self._open.pop(key, None)
+        if sess is not None:
+            sess.state = "closed"
+
+    def _close_where(self, pred) -> None:
+        for key, sess in list(self._open.items()):
+            if pred(sess):
                 sess.state = "closed"
-                return
+                del self._open[key]
 
     def _isolate(self, addr: str) -> None:
-        for sess in self.sessions:
-            if sess.state != "closed" and addr in (sess.na_i, sess.na_j):
-                sess.state = "closed"
+        self._close_where(lambda sess: addr in (sess.na_i, sess.na_j))
         for key, inst in list(self.instances.items()):
             if inst.node == addr:
                 del self.instances[key]
@@ -318,34 +300,123 @@ class ReplayOracle:
         return sorted(s.row() for s in self.sessions)
 
 
+class TraceChecker:
+    """The trace invariants of one run, checked as the trace grows.
+
+    Each `advance` visits only the records appended since the last one: it
+    takes each message record's `Message` once (the wire grammar), records
+    requests for correlation, looks for identities leaked across the
+    asymmetry, and feeds the one replay oracle of the run. Each check keeps
+    its first failure in trace order. A record's verdict depends only on the
+    records before it, so the verdicts equal those of a check of the whole
+    trace from scratch.
+    """
+
+    def __init__(self) -> None:
+        self.cursor = 0  # records of the trace visited so far
+        self.oracle = ReplayOracle()
+        self._seen_requests: set[tuple[str, str, int, MT]] = set()
+        self._leak: Verdict | None = None
+        self._unmatched: Verdict | None = None
+        self._bad_grammar: Verdict | None = None
+
+    def advance(self, records: list[TraceRecord]) -> None:
+        """Check `records[cursor:]`; `records` only ever grows."""
+        for i in range(self.cursor, len(records)):
+            self._visit(records[i])
+        self.cursor = len(records)
+
+    def _visit(self, rec: TraceRecord) -> None:
+        if rec.kind == "msg":
+            try:
+                msg = rec.message()
+            except wire.MessageError as e:
+                if self._bad_grammar is None:
+                    self._bad_grammar = Verdict(False, "wire_grammar",
+                                                f"{rec.render()}: {e}")
+                return
+            if self._leak is None:
+                self._leak = _record_leak(rec, msg)
+            request_type = _RESPONSE_OF.get(msg.msg_type)
+            if request_type is None:
+                self._seen_requests.add(
+                    (rec.src, rec.dst, msg.message_id, msg.msg_type))
+            elif self._unmatched is None and (
+                    rec.dst, rec.src, msg.message_id, request_type
+            ) not in self._seen_requests:
+                # Every response answers a request with the same id that
+                # previously travelled the reverse hop.
+                self._unmatched = Verdict(False, "correlation",
+                                          f"unmatched response {rec.render()}")
+        self.oracle.feed(rec)
+
+    def knowledge_asymmetry(self, cluster) -> Verdict:
+        return self._leak or _handle_leak(cluster)
+
+    def correlation(self) -> Verdict:
+        return self._unmatched or Verdict(True, "correlation")
+
+    def wire_grammar(self) -> Verdict:
+        return self._bad_grammar or Verdict(True, "wire_grammar")
+
+    def replay(self, manager: Manager) -> Verdict:
+        """The oracle's table, as of the last `advance`, against the
+        manager's."""
+        actual = sorted(
+            (s.source_service_name, s.source_instance_id, s.source_address,
+             s.plug_name, s.plug_port, s.dest_service_name,
+             s.dest_instance_id, s.dest_address, s.socket_name,
+             s.socket_port, s.session_port, s.state.value)
+            for s in manager.sessions)
+        expected = self.oracle.table()
+        if actual == expected:
+            return Verdict(True, "replay_equivalence", f"n={len(actual)}")
+        missing = [r for r in expected if r not in actual]
+        extra = [r for r in actual if r not in expected]
+        return Verdict(False, "replay_equivalence",
+                       f"missing={missing[:2]} extra={extra[:2]}")
+
+
+def _checked(records: list[TraceRecord]) -> TraceChecker:
+    trace = TraceChecker()
+    trace.advance(records)
+    return trace
+
+
+# Each trace check on its own, over a whole trace from scratch. The sweep
+# reads a TraceChecker instead; perfbench/spans.py wraps these names.
+
+def check_knowledge_asymmetry(records: list[TraceRecord], cluster) -> Verdict:
+    return _checked(records).knowledge_asymmetry(cluster)
+
+
+def check_correlation(records: list[TraceRecord]) -> Verdict:
+    return _checked(records).correlation()
+
+
+def check_wire_grammar(records: list[TraceRecord]) -> Verdict:
+    return _checked(records).wire_grammar()
+
+
 def check_replay(records: list[TraceRecord], manager: Manager) -> Verdict:
-    oracle = ReplayOracle()
-    for rec in records:
-        oracle.feed(rec)
-    actual = sorted(
-        (s.source_service_name, s.source_instance_id, s.source_address,
-         s.plug_name, s.plug_port, s.dest_service_name, s.dest_instance_id,
-         s.dest_address, s.socket_name, s.socket_port, s.session_port,
-         s.state.value)
-        for s in manager.sessions)
-    expected = oracle.table()
-    if actual == expected:
-        return Verdict(True, "replay_equivalence", f"n={len(actual)}")
-    missing = [r for r in expected if r not in actual]
-    extra = [r for r in actual if r not in expected]
-    return Verdict(False, "replay_equivalence",
-                   f"missing={missing[:2]} extra={extra[:2]}")
+    return _checked(records).replay(manager)
 
 
-def sweep(records: list[TraceRecord], manager: Manager, cluster, net
-          ) -> list[Verdict]:
+def sweep(records: list[TraceRecord], manager: Manager, cluster, net,
+          trace: TraceChecker | None = None) -> list[Verdict]:
+    """Every invariant, in report order. `trace` is the run's checker and is
+    advanced to the end of `records`; without one, the trace is checked from
+    scratch."""
+    if trace is None:
+        trace = TraceChecker()
+    trace.advance(records)
     return [
         check_conservation(manager, cluster, net),
         check_port_exclusivity(manager, cluster),
-        check_knowledge_asymmetry(records, cluster),
+        trace.knowledge_asymmetry(cluster),
         check_dns_soundness(manager),
         check_isolation(manager),
-        check_correlation(records),
-        check_wire_grammar(records),
-        check_replay(records, manager),
+        trace.correlation(),
+        trace.wire_grammar(),
+        trace.replay(manager),
     ]

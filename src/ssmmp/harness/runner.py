@@ -2,8 +2,10 @@
 
 Timeline events run at their scheduled simulated times. Whenever the run
 reaches a quiescent point (only maintenance ticks and future timeline events
-queued, no pending correlations anywhere) the full invariant sweep runs;
-any violation fails the run. The report is a pure function of
+queued, no pending correlations anywhere) every invariant is checked: the
+live-state checks over the whole cluster, and the trace checks by the run's
+one streaming checker over the records appended since the last quiescent
+point. Any violation fails the run. The report is a pure function of
 (scenario, seed), byte for byte.
 
 The event interpreter and the expect checks here are the only ones: the
@@ -47,7 +49,8 @@ class Collector:
         msg = wire.parse_message(data)
         self.records.append(TraceRecord(
             self.net._next_seq(), self.net.now_ms(), "msg",
-            str(channel.local), str(channel.remote), wire.message_summary(msg)))
+            str(channel.local), str(channel.remote), wire.message_summary(msg),
+            _parsed=msg))
 
     def decision(self, time_ms: int, kind: str, text: str) -> None:
         if kind != "decision":
@@ -72,7 +75,8 @@ class Collector:
 @dataclass
 class RunContext:
     """One scenario run over either fabric. Without a Collector (loopback
-    TCP) there is no trace, and the trace-based checks are skipped."""
+    TCP) there is no trace, and the trace-based checks are skipped; with one,
+    `trace` checks it as it grows, for this run only."""
 
     scenario: Scenario
     cluster: Cluster
@@ -83,6 +87,7 @@ class RunContext:
     held: dict[tuple[str, int, str], list] = field(default_factory=dict)
     open_failures: list[tuple[str, str, int]] = field(default_factory=list)
     expects: list[Verdict] = field(default_factory=list)
+    trace: invariants.TraceChecker | None = None
 
     @property
     def manager(self):
@@ -314,7 +319,8 @@ def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
         return n == int(args[1]), f"got {n}"
     if check == "replay_matches":
         ctx.collector.drain_net_events()
-        verdict = invariants.check_replay(ctx.collector.records, manager)
+        ctx.trace.advance(ctx.collector.records)
+        verdict = ctx.trace.replay(manager)
         return verdict.ok, verdict.detail
     if check == "open_failed":
         want = (args[0], args[1], int(args[2]))
@@ -358,7 +364,8 @@ def scenario_context(scenario: Scenario, fabric, collector=None
                       journal_sink=collector.decision if collector else None)
     fabric.add_node(USER_NODE)
     return RunContext(scenario, cluster, collector,
-                      fabric.env(USER_NODE, "user"))
+                      fabric.env(USER_NODE, "user"),
+                      trace=invariants.TraceChecker() if collector else None)
 
 
 def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
@@ -391,7 +398,7 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
             last_sweep_mark = mark
             collector.drain_net_events()
             verdicts = invariants.sweep(collector.records, cluster.manager,
-                                        cluster, net)
+                                        cluster, net, trace=ctx.trace)
             sweep_count += 1
             bad = [v for v in verdicts if not v.ok]
             if bad and not failed_sweep:
@@ -401,7 +408,8 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
                     for v in verdicts]
 
     collector.drain_net_events()
-    final = invariants.sweep(collector.records, cluster.manager, cluster, net)
+    final = invariants.sweep(collector.records, cluster.manager, cluster, net,
+                             trace=ctx.trace)
     if failed_sweep:
         final = failed_sweep
     report = TraceReport(scenario.name, seed)

@@ -171,6 +171,22 @@ class Timer:
         self.alive = False
 
 
+class _SimTimer(Timer):
+    """A timer of the simulator's queue. While its entry is queued and alive,
+    the entry's tag is counted in `pending`, so that the pending tags need no
+    walk of the queue. A timer has at most one entry queued at a time."""
+
+    def __init__(self, pending: dict[str, int]) -> None:
+        super().__init__()
+        self._pending = pending
+        self.queued_tag: str | None = None
+
+    def cancel(self) -> None:
+        if self.alive and self.queued_tag is not None:
+            self._pending[self.queued_tag] -= 1
+        self.alive = False
+
+
 class _Node:
     def __init__(self, addr: str):
         self.addr = addr
@@ -191,6 +207,7 @@ class SimNetwork:
         self._now = 0
         self._seq = 0
         self._queue: list[tuple[int, float, int, object]] = []
+        self._pending: dict[str, int] = {}  # tag -> live queued entries
         self._compact_at = _QUEUE_COMPACT_MIN
         self._nodes: dict[str, _Node] = {}
         self._listeners: dict[Endpoint, Listener] = {}
@@ -228,6 +245,8 @@ class SimNetwork:
             heapq.heapify(queue)
             self._compact_at = max(_QUEUE_COMPACT_MIN, 2 * len(queue))
         heapq.heappush(queue, (time_ms, tie, self._next_seq(), entry))
+        entry.timer.queued_tag = entry.tag
+        self._pending[entry.tag] = self._pending.get(entry.tag, 0) + 1
 
     def _hop_latency(self) -> int:
         if self._latency_fn is not None:
@@ -236,7 +255,7 @@ class SimNetwork:
 
     def _after_channel(self, ch: Channel, fn, tag: str = "net") -> Timer:
         """Channel events keep send order even under drawn latencies."""
-        timer = Timer()
+        timer = _SimTimer(self._pending)
         time_ms = max(self._now + self._hop_latency(), ch._floor)
         ch._floor = time_ms
         self._push(time_ms, ch._tie, _QueueEntry(fn, timer, tag))
@@ -246,7 +265,7 @@ class SimNetwork:
         """Run `fn` after `delay_ms`. A `retry` due past the horizon is
         dropped, as repeating ticks are, so that an actor retrying for ever
         (an agent whose manager died) cannot keep the run going."""
-        timer = Timer()
+        timer = _SimTimer(self._pending)
         tie = self._rng.random()
         due = self._now + delay_ms
         if tag != "retry" or self.horizon_ms is None or due <= self.horizon_ms:
@@ -256,12 +275,12 @@ class SimNetwork:
     def schedule_abs(self, time_ms: int, fn, tag: str = "timeline") -> Timer:
         """Run at an absolute time, before same-time network events, in
         scheduling order (tie below the [0, 1) range used elsewhere)."""
-        timer = Timer()
+        timer = _SimTimer(self._pending)
         self._push(time_ms, -1.0, _QueueEntry(fn, timer, tag))
         return timer
 
     def schedule_repeating(self, period_ms: int, fn, tag: str = "tick") -> Timer:
-        timer = Timer()
+        timer = _SimTimer(self._pending)
 
         def fire():
             if not timer.alive:
@@ -283,6 +302,8 @@ class SimNetwork:
             time_ms, _tie, _seq, entry = heapq.heappop(self._queue)
             if not entry.timer.alive:
                 continue
+            entry.timer.queued_tag = None
+            self._pending[entry.tag] -= 1
             self._now = max(self._now, time_ms)
             entry.fn()
             return True
@@ -302,7 +323,8 @@ class SimNetwork:
                 self.step()
 
     def pending_tags(self) -> set[str]:
-        return {e.tag for _, _, _, e in self._queue if e.timer.alive}
+        """The tags of the live entries in the queue."""
+        return {tag for tag, n in self._pending.items() if n}
 
     # -- topology -----------------------------------------------------------
 

@@ -12,6 +12,7 @@ per originator by a monotonic counter starting at 1.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import re
 from dataclasses import dataclass
@@ -425,6 +426,17 @@ def parse_plug_config(text: str) -> list[tuple[str, str]]:
 _CANONICAL_INT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
+@functools.lru_cache(maxsize=4096)
+def _is_address(value: str) -> bool:
+    """Whether `value` is an IP address; a cluster's addresses are few and
+    recur in nearly every message."""
+    try:
+        ipaddress.ip_address(value)
+    except ValueError:
+        return False
+    return True
+
+
 def _check_value(kind: str, name: str, value: str) -> ValidationIssue | None:
     if kind == "token":
         if not TOKEN_RE.match(value):
@@ -445,9 +457,7 @@ def _check_value(kind: str, name: str, value: str) -> ValidationIssue | None:
         elif not 100 <= int(value) <= 599:
             return ValidationIssue("FieldRange", f"{name}: code {value} out of 100-599")
     elif kind == "address":
-        try:
-            ipaddress.ip_address(value)
-        except ValueError:
+        if not _is_address(value):
             return ValidationIssue("FieldSyntax", f"{name}: bad address {value!r}")
     elif kind == "name_list":
         try:

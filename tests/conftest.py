@@ -7,6 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ssmmp.cluster import Cluster, NodeDef
 from ssmmp.graph import parse_graph_file
+from ssmmp.harness.generator import generate_scenario
+from ssmmp.harness.scenario import load_scenario
 from ssmmp.transport import SimNetwork
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -28,3 +30,13 @@ def make_cluster(graph, nodes, seed=1, horizon_ms=120_000, **kwargs):
     cluster.start()
     net.run(until_ms=20)
     return net, cluster
+
+
+def sweep_scenarios():
+    """(name, scenario) for the fixture scenarios and four generated mixed
+    ones: the runs whose every quiescent point the sweep tests inspect."""
+    out = [(path.stem, load_scenario(path))
+           for path in sorted(FIXTURES.glob("*.scenario"))]
+    out += [(f"mixed-{seed}", generate_scenario(seed, "mixed"))
+            for seed in (3, 17, 42, 101)]
+    return out

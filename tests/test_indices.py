@@ -3,12 +3,10 @@ a scan of the state they index, and keep per-open work flat."""
 
 import pytest
 
-from conftest import FIXTURES, make_cluster
+from conftest import make_cluster, sweep_scenarios
 
 from ssmmp.harness import invariants
-from ssmmp.harness.generator import generate_scenario
 from ssmmp.harness.runner import run_scenario
-from ssmmp.harness.scenario import load_scenario
 from ssmmp.manager import SessionRecord, SessionState
 from ssmmp.transport import Channel, Endpoint
 
@@ -40,15 +38,8 @@ def _check_indices(manager, net, channels):
         assert net.port_in_use(ep.addr, ep.port) == scanned, ep
 
 
-def _scenarios():
-    for path in sorted(FIXTURES.glob("*.scenario")):
-        yield path.stem, load_scenario(path)
-    for seed in (3, 17, 42, 101):
-        yield f"mixed-{seed}", generate_scenario(seed, "mixed")
-
-
-@pytest.mark.parametrize("name,scenario", list(_scenarios()),
-                         ids=[name for name, _ in _scenarios()])
+@pytest.mark.parametrize("name,scenario", sweep_scenarios(),
+                         ids=[name for name, _ in sweep_scenarios()])
 def test_indices_match_scans_at_every_quiescent_point(name, scenario,
                                                       monkeypatch):
     channels: list[Channel] = []
@@ -62,10 +53,10 @@ def test_indices_match_scans_at_every_quiescent_point(name, scenario,
     checked = []
     sweep = invariants.sweep
 
-    def checking_sweep(records, manager, cluster, net):
+    def checking_sweep(records, manager, cluster, net, **kwargs):
         _check_indices(manager, net, channels)
         checked.append(len(manager.sessions))
-        return sweep(records, manager, cluster, net)
+        return sweep(records, manager, cluster, net, **kwargs)
 
     monkeypatch.setattr(invariants, "sweep", checking_sweep)
     run_scenario(scenario, seed=7)

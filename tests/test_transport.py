@@ -2,6 +2,9 @@
 
 import pytest
 
+from conftest import sweep_scenarios
+
+from ssmmp.harness.runner import run_scenario
 from ssmmp.transport import (EPHEMERAL_END, EPHEMERAL_START, ChannelClosed,
                              ConnectionRefused, Endpoint, NodeDown, PortInUse,
                              SimNetwork)
@@ -177,6 +180,54 @@ def test_cancelled_timers_leave_the_queue_and_live_ones_keep_order():
     reference.run()
     assert fired == reference_fired  # the same seeded order of ties
     assert sorted(fired) == list(range(0, 1000, 10))
+
+
+def test_pending_tags_follow_cancel_and_fire():
+    net = SimNetwork(seed=0)
+    net.horizon_ms = 100
+    first = net.schedule(5, lambda: None, tag="a")
+    later = net.schedule(10, lambda: None, tag="b")
+    assert net.pending_tags() == {"a", "b"}
+    later.cancel()  # leaves the count now, though its entry stays queued
+    later.cancel()
+    assert net.pending_tags() == {"a"}
+    net.step()
+    assert net.pending_tags() == set()
+    first.cancel()  # after its entry fired: counted out once, not twice
+    net.schedule(5, lambda: None, tag="a")
+    assert net.pending_tags() == {"a"}
+    net.run()
+    ticks = []
+    tick = net.schedule_repeating(10, lambda: ticks.append(net.now_ms())
+                                  or len(ticks) == 3 and tick.cancel())
+    for _ in range(2):
+        net.step()
+        assert net.pending_tags() == {"tick"}  # re-queued after each fire
+    net.step()  # cancelled while it runs, so it is not queued again
+    assert net.pending_tags() == set()
+    assert len(ticks) == 3 and not net.step()
+
+
+def _walked_tags(net):
+    return {e.tag for _, _, _, e in net._queue if e.timer.alive}
+
+
+@pytest.mark.parametrize("name,scenario", sweep_scenarios(),
+                         ids=[name for name, _ in sweep_scenarios()])
+def test_pending_tags_equal_a_walk_of_the_queue_at_every_step(
+        name, scenario, monkeypatch):
+    step = SimNetwork.step
+    steps = [0]
+
+    def checked(net):
+        progressed = step(net)
+        assert net.pending_tags() == _walked_tags(net)
+        steps[0] += 1
+        return progressed
+
+    monkeypatch.setattr(SimNetwork, "step", checked)
+    run_scenario(scenario, seed=7)
+    assert steps[0] > 30
 
 
 def test_run_until_stops_before_a_live_entry_past_the_limit():

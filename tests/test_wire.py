@@ -291,3 +291,18 @@ def test_summary_roundtrip():
                           dest_service_name="B",
                           dest_socket_name="S")
     assert wire.parse_summary(wire.message_summary(m)) == m
+
+
+@pytest.mark.parametrize("value", ["fd00::zz", "10.0.0.256", "", "fd00::a1 "])
+def test_bad_address_is_the_same_issue_every_time(value):
+    m = Message(MT.INITIATION_REQUEST, 1, None,
+                (("agent_network_address", value),
+                 ("service_repository", "(A)")))
+    for _ in range(3):  # a memoized answer reads as the first one did
+        issues = wire.validate_message(m)
+        assert [(i.code, i.detail) for i in issues] == [
+            ("FieldSyntax", f"agent_network_address: bad address {value!r}")]
+    good = Message(MT.INITIATION_REQUEST, 1, None,
+                   (("agent_network_address", "fd00::a1"),
+                    ("service_repository", "(A)")))
+    assert wire.validate_message(good) == []
