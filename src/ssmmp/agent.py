@@ -4,6 +4,8 @@ The agent owns a repository of executable services, spawns runtimes on the
 control plane's request, and forwards messages in both directions, rewriting
 only the route tag (and inserting its own address where the upstream template
 adds it). It polls instance health and reports abnormal results upward.
+Each session establishment it relays is one entry of `_flows`, from the
+request until the manager's refusal or the instance's ack.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ class LocalInstance:
     @property
     def key(self) -> tuple[str, int]:
         return (self.service_name, self.instance_id)
+
+
+@dataclass
+class _Flow:
+    """A session establishment relayed upstream and not yet finished."""
+
+    instance: LocalInstance
+    timer: object
+    awaiting_ack: bool = False  # the 200 went down; the ack has not come up
 
 
 @dataclass
@@ -99,14 +110,12 @@ class Agent:
         self._ids = wire.IdCounter()
         self._manager_ch = None
         self._instance_by_channel: dict[int, LocalInstance] = {}
-        self._session_routes: dict[int, LocalInstance] = {}
+        self._flows: dict[int, _Flow] = {}
         # Correlation discipline: message ids are per originator, so two local
         # instances may reuse one id. Establishment replies and acks carry no
         # originator identity; only one flow per id may be outstanding at a
         # time, later ones wait here until the current one terminates.
         self._held_requests: dict[int, deque] = {}
-        self._awaiting_ack: set[int] = set()
-        self._flow_timers: dict[int, object] = {}
         self._pending_health: dict[int, tuple[LocalInstance, object]] = {}
         self._timers: list[object] = []
 
@@ -226,13 +235,14 @@ class Agent:
             return
         if msg.msg_type is MT.SESSION_RESPONSE:
             mid = msg.message_id
-            li = self._session_routes.pop(mid, None)
-            if li is None or not self._to_instance(li, rewrite_for_relay(
-                    msg, self.node_addr)):
+            flow = self._flows.get(mid)
+            if (flow is None or flow.awaiting_ack
+                    or not self._to_instance(flow.instance, rewrite_for_relay(
+                        msg, self.node_addr))):
                 self.log.append(f"session_response {mid} undeliverable")
                 self._session_flow_done(mid)
             elif wire.is_success(msg.status):
-                self._awaiting_ack.add(mid)  # flow open until the ack passes
+                flow.awaiting_ack = True  # flow open until the ack passes
             else:
                 self._session_flow_done(mid)
             return
@@ -288,8 +298,7 @@ class Agent:
             return
         if msg.msg_type is MT.SESSION_REQUEST:
             mid = msg.message_id
-            if (mid in self._session_routes or mid in self._awaiting_ack
-                    or self._held_requests.get(mid)):
+            if mid in self._flows or self._held_requests.get(mid):
                 self._held_requests.setdefault(mid, deque()).append((li, msg))
                 return
             self._start_session_flow(li, msg)
@@ -298,10 +307,10 @@ class Agent:
                 and wire.is_success(msg.status):
             li.state = "exited"
         self._to_manager(rewrite_for_relay(msg, self.node_addr))
-        if msg.msg_type is MT.SESSION_ACK \
-                and msg.message_id in self._awaiting_ack:
-            self._awaiting_ack.discard(msg.message_id)
-            self._session_flow_done(msg.message_id)
+        if msg.msg_type is MT.SESSION_ACK:
+            flow = self._flows.get(msg.message_id)
+            if flow is not None and flow.awaiting_ack:
+                self._session_flow_done(msg.message_id)
 
     def _start_session_flow(self, li: LocalInstance, msg: Message) -> None:
         mid = msg.message_id
@@ -314,24 +323,16 @@ class Agent:
                 dest_socket_port=65535))
             self._release_held(mid)
             return
-        self._session_routes[mid] = li
         # Safety valve: past the upstream's own expiry window the flow is
         # abandoned and the next same-id request may proceed.
-        self._flow_timers[mid] = self.env.schedule(
+        self._flows[mid] = _Flow(li, self.env.schedule(
             self.config.instance_timeout_ms + 200,
-            lambda: self._session_flow_timeout(mid), tag="timeout")
-
-    def _session_flow_timeout(self, mid: int) -> None:
-        if mid in self._session_routes or mid in self._awaiting_ack:
-            self._session_routes.pop(mid, None)
-            self._awaiting_ack.discard(mid)
-            self._flow_timers.pop(mid, None)
-            self._release_held(mid)
+            lambda: self._session_flow_done(mid), tag="timeout"))
 
     def _session_flow_done(self, mid: int) -> None:
-        timer = self._flow_timers.pop(mid, None)
-        if timer is not None:
-            timer.cancel()
+        flow = self._flows.pop(mid, None)
+        if flow is not None:
+            flow.timer.cancel()
         self._release_held(mid)
 
     def _release_held(self, mid: int) -> None:

@@ -116,11 +116,9 @@ class Cluster:
     def has_pending(self) -> bool:
         if self.manager.has_pending():
             return True
+        # An agent's held session requests wait only behind a live flow.
         for agent in self.agents.values():
-            if agent.alive and (agent._pending_health
-                                or agent._session_routes
-                                or agent._awaiting_ack
-                                or any(agent._held_requests.values())):
+            if agent.alive and (agent._pending_health or agent._flows):
                 return True
         for rt in self.live_runtimes():
             if rt._pending_opens:

@@ -43,7 +43,7 @@ _SAMPLE_IDS = {
 def golden_messages() -> list[tuple[str, Message]]:
     """(file stem, message) for every template variant, sorted by stem."""
     out = []
-    for (msg_type, sub_type) in wire.all_template_keys():
+    for (msg_type, sub_type) in wire.TEMPLATES:
         stem = msg_type.value
         if sub_type is not None:
             stem += f"__{sub_type.value}"

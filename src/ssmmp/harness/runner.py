@@ -40,10 +40,8 @@ class Collector:
     def __init__(self, net: SimNetwork):
         self.net = net
         self.records: list[TraceRecord] = []
-        self._net_cursor = 0
 
     def on_send(self, channel, data: bytes) -> None:
-        self.drain_net_events()
         if channel.kind != "control":
             return
         msg = wire.parse_message(data)
@@ -55,18 +53,14 @@ class Collector:
     def decision(self, time_ms: int, kind: str, text: str) -> None:
         if kind != "decision":
             return
-        self.drain_net_events()
         self.records.append(TraceRecord(
             self.net._next_seq(), time_ms, "decision", text=text))
 
-    def drain_net_events(self) -> None:
-        while self._net_cursor < len(self.net.events):
-            ev = self.net.events[self._net_cursor]
-            self._net_cursor += 1
-            self.records.append(TraceRecord(
-                ev.seq, ev.time_ms, "net",
-                text=f"{ev.kind} {ev.src or '-'} -> {ev.dst or '-'}"
-                     + (f" {ev.detail}" if ev.detail else "")))
+    def on_event(self, seq: int, kind: str, src, dst, detail: str) -> None:
+        self.records.append(TraceRecord(
+            seq, self.net.now_ms(), "net",
+            text=f"{kind} {src or '-'} -> {dst or '-'}"
+                 + (f" {detail}" if detail else "")))
 
     def messages(self) -> list[TraceRecord]:
         return [r for r in self.records if r.kind == "msg"]
@@ -217,7 +211,6 @@ def _find_session(ctx: RunContext, a: str, p: str, b: str, s: str):
 
 def _check_choreography(ctx: RunContext, a: str, p: str, b: str, s: str
                         ) -> tuple[bool, str]:
-    ctx.collector.drain_net_events()
     msgs = ctx.collector.messages()
     req1 = next((r for r in msgs
                  if (m := r.message()).msg_type is MT.SESSION_REQUEST
@@ -318,7 +311,6 @@ def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
         n = sum(1 for s in manager.sessions if s.state.value == args[0])
         return n == int(args[1]), f"got {n}"
     if check == "replay_matches":
-        ctx.collector.drain_net_events()
         ctx.trace.advance(ctx.collector.records)
         verdict = ctx.trace.replay(manager)
         return verdict.ok, verdict.detail
@@ -378,6 +370,7 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
     ctx = scenario_context(scenario, net, collector)
     cluster = ctx.cluster
     net.on_send = collector.on_send
+    net.on_event = collector.on_event
     net.horizon_ms = scenario.horizon_ms()
 
     cluster.start()
@@ -396,7 +389,6 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
         mark = net._seq
         if _is_quiescent(net, cluster) and mark != last_sweep_mark:
             last_sweep_mark = mark
-            collector.drain_net_events()
             verdicts = invariants.sweep(collector.records, cluster.manager,
                                         cluster, net, trace=ctx.trace)
             sweep_count += 1
@@ -407,7 +399,6 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
                             f"t={net.now_ms()} {v.detail}".strip())
                     for v in verdicts]
 
-    collector.drain_net_events()
     final = invariants.sweep(collector.records, cluster.manager, cluster, net,
                              trace=ctx.trace)
     if failed_sweep:

@@ -1,9 +1,11 @@
 """The control plane: agent registry, instance DB, session table, DNS.
 
 One logical state machine; every inbound message and timer tick runs to
-completion before the next. Flows that need a remote step first (spawning a
-destination instance, draining sessions before a graceful shutdown) are kept
-as pending correlation entries and resumed by the matching response.
+completion before the next. Each request sent to an agent (execution,
+session close, graceful or hard shutdown) waits in `_pending` under its
+message id, behind one send path, one timeout handler and one response path.
+Flows that need a remote step first (spawning a destination instance,
+draining sessions before a graceful shutdown) resume when it resolves.
 """
 
 from __future__ import annotations
@@ -182,25 +184,32 @@ class ManagerConfig:
 
 
 @dataclass
-class _PendingExec:
-    record: InstanceRecord
-    agent_addr: str
+class _Pending:
+    """One outstanding request to an agent, keyed by its message id."""
+
+    kind: str  # exec | close | shutdown
+    agent: str  # the agent the request went to
+    subject: InstanceRecord | SessionRecord  # a SessionRecord for a close
+    hard: bool = False  # a shutdown: hard rather than graceful
+    # An exec's session requests, answered once the instance runs.
     parked: list[tuple[str, Message]] = field(default_factory=list)
     timer: object | None = None
 
 
-@dataclass
-class _PendingClose:
-    session: SessionRecord
-    side: str  # source | dest
-    timer: object | None = None
+# kind -> how the journal names its request and its response
+_JOURNAL_NAMES = {
+    "exec": ("execution request", "execution_response"),
+    "close": ("close request", "close_response"),
+    "shutdown": ("shutdown request", "shutdown response"),
+}
 
-
-@dataclass
-class _PendingShutdown:
-    instance: InstanceRecord
-    kind: str  # graceful | hard
-    timer: object | None = None
+_RESPONSE_KIND = {
+    MT.EXECUTION_RESPONSE: "exec",
+    MT.SOURCE_SESSION_CLOSE_RESPONSE: "close",
+    MT.DEST_SESSION_CLOSE_RESPONSE: "close",
+    MT.GRACEFUL_SHUTDOWN_RESPONSE: "shutdown",
+    MT.HARD_SHUTDOWN_RESPONSE: "shutdown",
+}
 
 
 class Manager:
@@ -230,11 +239,10 @@ class Manager:
         self._channels: dict[str, object] = {}       # agent addr -> channel
         self._channel_addr: dict[int, str] = {}      # id(channel) -> addr
         self._pools: dict[str, PortPool] = {}
-        self._pending_exec: dict[int, _PendingExec] = {}
-        self._pending_close: dict[int, _PendingClose] = {}
-        self._pending_shutdown: dict[int, _PendingShutdown] = {}
-        self._pending_sessions: dict[tuple[str, int], SessionRecord] = {}
-        self._session_timers: dict[tuple[str, int], object] = {}
+        self._pending: dict[int, _Pending] = {}
+        # (source agent, request id) -> (record, expiry timer)
+        self._pending_sessions: dict[tuple[str, int],
+                                     tuple[SessionRecord, object]] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -253,8 +261,7 @@ class Manager:
                     self.execute_instance(v.name)
 
     def has_pending(self) -> bool:
-        return bool(self._pending_exec or self._pending_close
-                    or self._pending_shutdown or self._pending_sessions)
+        return bool(self._pending or self._pending_sessions)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -324,15 +331,15 @@ class Manager:
             self._log(f"message from unregistered channel dropped: {msg.msg_type.value}")
             return
         handler = {
-            MT.EXECUTION_RESPONSE: self.handle_execution_response,
+            MT.EXECUTION_RESPONSE: self.handle_response,
             MT.SESSION_REQUEST: self.handle_session_request,
             MT.SESSION_ACK: self.handle_session_ack,
             MT.SOURCE_SESSION_CLOSE_INFO: self.handle_close_info,
             MT.DEST_SESSION_CLOSE_INFO: self.handle_close_info,
             MT.SOURCE_SESSION_CLOSE_RESPONSE: self.handle_close_response,
             MT.DEST_SESSION_CLOSE_RESPONSE: self.handle_close_response,
-            MT.GRACEFUL_SHUTDOWN_RESPONSE: self.handle_shutdown_response,
-            MT.HARD_SHUTDOWN_RESPONSE: self.handle_shutdown_response,
+            MT.GRACEFUL_SHUTDOWN_RESPONSE: self.handle_response,
+            MT.HARD_SHUTDOWN_RESPONSE: self.handle_response,
             MT.HEALTH_CONTROL_RESPONSE: self.handle_health_response,
         }.get(msg.msg_type)
         if handler is None:
@@ -428,23 +435,53 @@ class Manager:
                 [(s, ports[s]) for s in spec.sockets]),
             plug_configuration=wire.format_pair_list(
                 sorted(plug_config.items())))
-        pending = _PendingExec(record, node)
-        pending.timer = self.env.schedule(
-            self.config.request_timeout_ms,
-            lambda: self._exec_timeout(mid), tag="timeout")
-        self._pending_exec[mid] = pending
-        if not self._send(node, msg):
-            if mid in self._pending_exec:  # a probe may have resolved it
-                self._resolve_exec(mid, wire.UNREACHABLE)
+        if not self._request(_Pending("exec", node, record), msg):
             return None
         return mid
 
-    def _exec_timeout(self, mid: int) -> None:
-        if mid in self._pending_exec:
-            self._log(f"execution request {mid} timed out")
-            addr = self._pending_exec[mid].agent_addr
-            self._resolve_exec(mid, wire.TIMEOUT)
-            self._probe_agent(addr)
+    # -- requests to agents -------------------------------------------------
+
+    def _request(self, pending: _Pending, msg: Message) -> bool:
+        """Send `msg` to `pending.agent` and keep `pending` until its
+        response or timeout; a failed send resolves it as unreachable."""
+        mid = msg.message_id
+        pending.timer = self.env.schedule(
+            self.config.request_timeout_ms,
+            lambda: self._request_timeout(mid), tag="timeout")
+        self._pending[mid] = pending
+        if self._send(pending.agent, msg):
+            return True
+        if mid in self._pending:  # a probe may have resolved it
+            self._resolve(mid, wire.UNREACHABLE)
+        return False
+
+    def _request_timeout(self, mid: int) -> None:
+        pending = self._pending.get(mid)
+        if pending is not None:
+            self._log(f"{_JOURNAL_NAMES[pending.kind][0]} {mid} timed out")
+            self._resolve(mid, wire.TIMEOUT)
+            self._probe_agent(pending.agent)
+
+    def handle_response(self, addr: str, msg: Message) -> None:
+        """An execution, close or shutdown response: it resolves the pending
+        request with its id only when that request is of the same kind."""
+        kind = _RESPONSE_KIND[msg.msg_type]
+        pending = self._pending.get(msg.message_id)
+        if pending is None or pending.kind != kind:
+            self._log(f"{_JOURNAL_NAMES[kind][1]} with unknown id "
+                      f"{msg.message_id}")
+            return
+        self._resolve(msg.message_id, msg.status)
+
+    # Close responses keep a name of their own so that a tracer can wrap them.
+    handle_close_response = handle_response
+
+    def _resolve(self, mid: int, status: int) -> None:
+        pending = self._pending.pop(mid)
+        pending.timer.cancel()
+        resolve = {"exec": self._resolve_exec, "close": self._resolve_close,
+                   "shutdown": self._resolve_shutdown}[pending.kind]
+        resolve(pending, status)
 
     def _probe_agent(self, addr: str) -> None:
         ch = self._channels.get(addr)
@@ -453,17 +490,8 @@ class Manager:
             if rec is not None and rec.status is AgentStatus.UP:
                 self.isolate_node(addr)
 
-    def handle_execution_response(self, addr: str, msg: Message) -> None:
-        if msg.message_id not in self._pending_exec:
-            self._log(f"execution_response with unknown id {msg.message_id}")
-            return
-        self._resolve_exec(msg.message_id, msg.status)
-
-    def _resolve_exec(self, mid: int, status: int) -> None:
-        pending = self._pending_exec.pop(mid)
-        if pending.timer is not None:
-            pending.timer.cancel()
-        record = pending.record
+    def _resolve_exec(self, pending: _Pending, status: int) -> None:
+        record = pending.subject
         if wire.is_success(status):
             record.state = InstanceState.RUNNING
             record.last_activity = self.env.now_ms()
@@ -501,9 +529,6 @@ class Manager:
             dest_socket_port=k or 65535)
         self._send(agent_addr, msg)
 
-    def _session_load(self, record: InstanceRecord) -> int:
-        return len(self._sessions_by_instance.get(record.key, ()))
-
     def handle_session_request(self, addr: str, msg: Message) -> None:
         mid = msg.message_id
         source_addr = msg.get("agent_network_address")
@@ -522,11 +547,10 @@ class Manager:
             self._respond_session(source_addr, mid, wire.NOT_FOUND)
             return
 
-        running = [r for r in self.instances.values()
-                   if r.service == b and r.state is InstanceState.RUNNING]
+        running = self.running_instances(b)
         if not running:
-            starting = [x for x in self._pending_exec.values()
-                        if x.record.service == b]
+            starting = [x for x in self._pending.values()
+                        if x.kind == "exec" and x.subject.service == b]
             if starting:
                 starting[0].parked.append((source_addr, msg))
                 return
@@ -534,13 +558,14 @@ class Manager:
             if exec_mid is None:
                 self._respond_session(source_addr, mid, wire.NO_BYTECODE)
                 return
-            self._pending_exec[exec_mid].parked.append((source_addr, msg))
+            self._pending[exec_mid].parked.append((source_addr, msg))
             return
 
         if self.config.selection_policy is not None:
-            dest = self.config.selection_policy(running, self._session_load)
+            dest = self.config.selection_policy(running,
+                                                self.open_session_count)
         else:
-            dest = min(running, key=lambda r: (self._session_load(r),
+            dest = min(running, key=lambda r: (self.open_session_count(r),
                                                r.node_address, r.instance_id))
         k = dest.socket_ports[s]
         record = SessionRecord(
@@ -549,27 +574,24 @@ class Manager:
             dest_service_name=b, dest_address=dest.node_address,
             dest_instance_id=dest.instance_id, socket_name=s,
             socket_port=k, session_port=None)
-        self._pending_sessions[key] = record
-        self._session_timers[key] = self.env.schedule(
+        self._pending_sessions[key] = (record, self.env.schedule(
             self.config.request_timeout_ms,
-            lambda: self._expire_pending_session(key), tag="timeout")
+            lambda: self._expire_pending_session(key), tag="timeout"))
         self._respond_session(source_addr, mid, wire.OK, dest.node_address, k)
 
     def _expire_pending_session(self, key: tuple[str, int]) -> None:
         if self._pending_sessions.pop(key, None) is not None:
-            self._session_timers.pop(key, None)
             self._log(f"pending session {key} expired without ack")
 
     def handle_session_ack(self, addr: str, msg: Message) -> None:
         key = (addr, msg.message_id)
-        record = self._pending_sessions.pop(key, None)
-        if record is None:
+        entry = self._pending_sessions.pop(key, None)
+        if entry is None:
             self._log(f"ack without pending session {key} (duplicate or late): "
                       f"{wire.ALREADY_CLOSED}")
             return
-        timer = self._session_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+        record, timer = entry
+        timer.cancel()
         if not wire.is_success(msg.status):
             self._log(f"session establishment failed with {msg.status} for {key}")
             return
@@ -688,45 +710,20 @@ class Manager:
                 dest_socket_name=record.socket_name,
                 dest_socket_port=record.socket_port,
                 dest_socket_new_port=record.session_port)
-        pending = _PendingClose(record, side)
-        pending.timer = self.env.schedule(
-            self.config.request_timeout_ms,
-            lambda: self._close_timeout(mid), tag="timeout")
-        self._pending_close[mid] = pending
-        if not self._send(addr, msg):
-            if mid in self._pending_close:  # a probe may have resolved it
-                self._resolve_close(mid, wire.UNREACHABLE)
+        if not self._request(_Pending("close", addr, record), msg):
             return None
         return mid
 
-    def _close_timeout(self, mid: int) -> None:
-        if mid in self._pending_close:
-            pending = self._pending_close[mid]
-            addr = (pending.session.source_address if pending.side == "source"
-                    else pending.session.dest_address)
-            self._log(f"close request {mid} timed out")
-            self._resolve_close(mid, wire.TIMEOUT)
-            self._probe_agent(addr)
-
-    def handle_close_response(self, addr: str, msg: Message) -> None:
-        if msg.message_id not in self._pending_close:
-            self._log(f"close_response with unknown id {msg.message_id}")
-            return
-        self._resolve_close(msg.message_id, msg.status)
-
-    def _resolve_close(self, mid: int, status: int) -> None:
-        pending = self._pending_close.pop(mid)
-        if pending.timer is not None:
-            pending.timer.cancel()
+    def _resolve_close(self, pending: _Pending, status: int) -> None:
         if wire.is_success(status) or status == wire.ALREADY_CLOSED:
-            self._close_session(pending.session, "requested")
+            self._close_session(pending.subject, "requested")
         else:
-            self._close_session(pending.session, f"close_failed_{status}")
+            self._close_session(pending.subject, f"close_failed_{status}")
 
     # -- shutdown ----------------------------------------------------------
 
     def open_session_count(self, instance: InstanceRecord) -> int:
-        return self._session_load(instance)
+        return len(self._sessions_by_instance.get(instance.key, ()))
 
     def request_graceful_shutdown(self, instance: InstanceRecord) -> None:
         if instance.state not in (InstanceState.RUNNING, InstanceState.DRAINING):
@@ -742,62 +739,41 @@ class Manager:
                     self.request_session_close(s, "dest")
             return
         instance.state = InstanceState.DRAINING
-        self._send_shutdown(instance, "graceful")
+        self._send_shutdown(instance, hard=False)
 
     def _maybe_finish_drain(self, instance: InstanceRecord) -> None:
         if instance.state is not InstanceState.DRAINING:
             return
         if instance.key in self._sessions_by_instance:
             return
-        if any(p.instance is instance for p in self._pending_shutdown.values()):
+        if any(p.kind == "shutdown" and p.subject is instance
+               for p in self._pending.values()):
             return
-        self._send_shutdown(instance, "graceful")
+        self._send_shutdown(instance, hard=False)
 
     def request_hard_shutdown(self, instance: InstanceRecord) -> None:
         if instance.state is InstanceState.CLOSED:
             return
-        self._send_shutdown(instance, "hard")
+        self._send_shutdown(instance, hard=True)
 
-    def _send_shutdown(self, instance: InstanceRecord, kind: str) -> None:
-        mid = self._ids.next()
-        mt = (MT.GRACEFUL_SHUTDOWN_REQUEST if kind == "graceful"
-              else MT.HARD_SHUTDOWN_REQUEST)
+    def _send_shutdown(self, instance: InstanceRecord, hard: bool) -> None:
         msg = wire.make_message(
-            mt, mid, ST.MANAGER_TO_AGENT,
+            MT.HARD_SHUTDOWN_REQUEST if hard else MT.GRACEFUL_SHUTDOWN_REQUEST,
+            self._ids.next(), ST.MANAGER_TO_AGENT,
             service_name=instance.service,
             service_instance_id=instance.instance_id)
-        pending = _PendingShutdown(instance, kind)
-        pending.timer = self.env.schedule(
-            self.config.request_timeout_ms,
-            lambda: self._shutdown_timeout(mid), tag="timeout")
-        self._pending_shutdown[mid] = pending
-        if not self._send(instance.node_address, msg):
-            if mid in self._pending_shutdown:  # a probe may have resolved it
-                self._resolve_shutdown(mid, wire.UNREACHABLE)
+        self._request(_Pending("shutdown", instance.node_address, instance,
+                               hard=hard), msg)
 
-    def _shutdown_timeout(self, mid: int) -> None:
-        if mid in self._pending_shutdown:
-            addr = self._pending_shutdown[mid].instance.node_address
-            self._log(f"shutdown request {mid} timed out")
-            self._resolve_shutdown(mid, wire.TIMEOUT)
-            self._probe_agent(addr)
-
-    def handle_shutdown_response(self, addr: str, msg: Message) -> None:
-        if msg.message_id not in self._pending_shutdown:
-            self._log(f"shutdown response with unknown id {msg.message_id}")
-            return
-        self._resolve_shutdown(msg.message_id, msg.status)
-
-    def _resolve_shutdown(self, mid: int, status: int) -> None:
-        pending = self._pending_shutdown.pop(mid)
-        if pending.timer is not None:
-            pending.timer.cancel()
-        instance = pending.instance
-        if pending.kind == "graceful":
+    def _resolve_shutdown(self, pending: _Pending, status: int) -> None:
+        instance = pending.subject
+        if not pending.hard:
             if wire.is_success(status):
                 self._mark_instance_closed(instance, "graceful")
             else:
-                instance.state = InstanceState.RUNNING
+                # Isolation may have closed the instance meanwhile.
+                if instance.state is InstanceState.DRAINING:
+                    instance.state = InstanceState.RUNNING
                 self._log(f"graceful shutdown of {instance.canonical_name} "
                           f"refused: {status}")
                 if status in (wire.UNREACHABLE, wire.TIMEOUT):
@@ -848,27 +824,18 @@ class Manager:
             elif s.dest_address == addr and s.source_address != addr:
                 self.request_session_close(s, "source")
             self._close_session(s, "node_isolated")
-        drop = [k for k, r in self._pending_sessions.items()
+        drop = [k for k, (r, _timer) in self._pending_sessions.items()
                 if r.touches_node(addr)]
         for k in drop:
             self._log(f"pending session {k} dropped by isolation")
-            self._pending_sessions.pop(k)
-            timer = self._session_timers.pop(k, None)
-            if timer is not None:
-                timer.cancel()
+            self._pending_sessions.pop(k)[1].cancel()
         for inst in self.instances.values():
             if inst.node_address == addr and inst.state is not InstanceState.CLOSED:
                 self._mark_instance_closed(inst, "node_isolated")
-        for mid in [m for m, p in self._pending_exec.items()
-                    if p.agent_addr == addr]:
-            self._resolve_exec(mid, wire.UNREACHABLE)
-        for mid in [m for m, p in self._pending_shutdown.items()
-                    if p.instance.node_address == addr]:
-            self._resolve_shutdown(mid, wire.UNREACHABLE)
-        for mid in [m for m, p in self._pending_close.items()
-                    if (p.session.source_address if p.side == "source"
-                        else p.session.dest_address) == addr]:
-            self._resolve_close(mid, wire.UNREACHABLE)
+        for kind in ("exec", "shutdown", "close"):
+            for mid in [m for m, p in self._pending.items()
+                        if p.kind == kind and p.agent == addr]:
+                self._resolve(mid, wire.UNREACHABLE)
 
     # -- health ------------------------------------------------------------
 

@@ -342,7 +342,7 @@ class ServiceRuntime:
         handle = self._handle_by_channel.get(id(channel))
         if handle is None or handle.state == "closed" or not self.alive:
             return
-        self.close_session(handle, initiated_by_peer=True)
+        self.close_session(handle)
 
     def send(self, handle: SessionHandle, payload: bytes) -> None:
         if handle.state != "open":
@@ -352,7 +352,6 @@ class ServiceRuntime:
     # -- closing -------------------------------------------------------------
 
     def close_session(self, handle: SessionHandle,
-                      initiated_by_peer: bool = False,
                       suppress_info: bool = False) -> None:
         """Close the data channel and report the side-appropriate close info
         to the agent, exactly once."""

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 EPHEMERAL_START = 40000
 EPHEMERAL_END = 65535
 _QUEUE_COMPACT_MIN = 64  # below this many entries, never compact the queue
+HOP_LATENCY_MS = 1  # per hop, unless a latency distribution is given
 
 
 class Endpoint(NamedTuple):
@@ -31,23 +32,6 @@ class Endpoint(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.addr}:{self.port}"
-
-
-class NetEvent(NamedTuple):
-    seq: int
-    time_ms: int
-    kind: str  # connect | accept | deliver | close | drop
-    src: Endpoint | None
-    dst: Endpoint | None
-    detail: str = ""
-
-    def render(self) -> str:
-        src = str(self.src) if self.src else "-"
-        dst = str(self.dst) if self.dst else "-"
-        out = f"t={self.time_ms} {self.kind} {src} -> {dst}"
-        if self.detail:
-            out += f" {self.detail}"
-        return out
 
 
 class TransportError(Exception):
@@ -197,10 +181,9 @@ class _Node:
 class SimNetwork:
     """The simulated cluster fabric and the global event loop."""
 
-    def __init__(self, seed: int = 0, hop_latency_ms: int = 1,
+    def __init__(self, seed: int = 0,
                  latency_fn: Callable[[random.Random], int] | None = None):
         self._rng = random.Random(seed)
-        self.hop_latency_ms = hop_latency_ms
         # Optional latency distribution, drawn per hop from the run seed;
         # the constant default keeps tight choreography timings.
         self._latency_fn = latency_fn
@@ -216,9 +199,12 @@ class SimNetwork:
         # leaves when it closes, which frees its port.
         self._channels: dict[Endpoint, Channel] = {}
         self._broken: set[frozenset[str]] = set()
-        self.events: list[NetEvent] = []
         self.horizon_ms: int | None = None
         self.on_send: Callable[[Channel, bytes], None] | None = None
+        # on_event(seq, kind, src, dst, detail) for each connect, accept,
+        # deliver, close and drop; nothing keeps them when it is unset.
+        self.on_event: Callable[
+            [int, str, Endpoint | None, Endpoint | None, str], None] | None = None
 
     # -- clock & queue ------------------------------------------------------
 
@@ -229,10 +215,10 @@ class SimNetwork:
         self._seq += 1
         return self._seq
 
-    def _event(self, kind: str, src, dst, detail: str = "") -> NetEvent:
-        ev = NetEvent(self._next_seq(), self._now, kind, src, dst, detail)
-        self.events.append(ev)
-        return ev
+    def _event(self, kind: str, src, dst, detail: str = "") -> None:
+        seq = self._next_seq()  # with or without a listener: same numbering
+        if self.on_event is not None:
+            self.on_event(seq, kind, src, dst, detail)
 
     def _push(self, time_ms: int, tie: float, entry) -> None:
         queue = self._queue
@@ -251,7 +237,7 @@ class SimNetwork:
     def _hop_latency(self) -> int:
         if self._latency_fn is not None:
             return max(1, int(self._latency_fn(self._rng)))
-        return self.hop_latency_ms
+        return HOP_LATENCY_MS
 
     def _after_channel(self, ch: Channel, fn, tag: str = "net") -> Timer:
         """Channel events keep send order even under drawn latencies."""

@@ -17,7 +17,7 @@ import ipaddress
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class MessageType(Enum):
@@ -315,9 +315,6 @@ class Message:
 
     def get_int(self, name: str) -> int:
         return int(self.get(name))
-
-    def has(self, name: str) -> bool:
-        return any(k == name for k, _ in self.fields)
 
     @property
     def status(self) -> int:
@@ -626,10 +623,6 @@ class IdCounter:
         n = self._next
         self._next += 1
         return n
-
-
-def all_template_keys() -> Iterator[tuple[MessageType, SubType | None]]:
-    return iter(TEMPLATES.keys())
 
 
 def message_summary(m: Message) -> str:

@@ -204,4 +204,4 @@ def test_agent_forwards_responses_only_after_manager_sent_them(fig1_graph):
         assert any(u.message_id == msg.message_id
                    and u.fields == msg.fields for u in upstream)
     # and once relayed, the agent holds no session state of its own
-    assert cluster.agents["fd00::a1"]._session_routes == {}
+    assert cluster.agents["fd00::a1"]._flows == {}

@@ -101,12 +101,12 @@ def _run_boot_with_session(fig1_graph, seed=3):
     cluster = Cluster(net, [sc.graph], "fd00::1", [NodeDef("fd00::a1", ["A", "B"])],
                       journal_sink=collector.decision)
     net.on_send = collector.on_send
+    net.on_event = collector.on_event
     cluster.start()
     net.schedule_abs(50, cluster.manager.start_app)
     net.schedule_abs(
         100, lambda: cluster.runtime("A", 1).open_session("P"))
     net.run()
-    collector.drain_net_events()
     return net, cluster, collector
 
 

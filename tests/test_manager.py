@@ -122,8 +122,8 @@ def test_failed_execution_rolls_back(fig1_graph):
     pool = manager._pool("fd00::a1")
     allocated = set(pool.allocated)
     # answer with a failure instead of letting the agent reply
-    manager._pending_exec[mid].timer.cancel()
-    manager._resolve_exec(mid, wire.INTERNAL_ERROR)
+    manager._pending[mid].timer.cancel()
+    manager._resolve(mid, wire.INTERNAL_ERROR)
     assert ("B", 1) not in manager.instances
     assert pool.allocated == allocated - {20000}
 
@@ -132,7 +132,7 @@ def test_unknown_execution_response_dropped(fig1_graph):
     net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["B"])])
     manager = cluster.manager
     before = dict(manager.instances)
-    manager.handle_execution_response(
+    manager.handle_response(
         "fd00::a1", wire.make_message(MT.EXECUTION_RESPONSE, 777, status=200))
     assert manager.instances == before
 
@@ -256,8 +256,9 @@ def test_session_ack_fills_ports_and_duplicate_is_noop(fig1_graph):
 def test_nack_deletes_pending(fig1_graph):
     net, cluster = _booted(fig1_graph)
     manager = cluster.manager
-    manager._pending_sessions[("fd00::a1", 42)] = object.__new__(
-        type(manager.sessions[0]) if manager.sessions else _dummy_record())
+    manager._pending_sessions[("fd00::a1", 42)] = (object.__new__(
+        type(manager.sessions[0]) if manager.sessions else _dummy_record()),
+        manager.env.schedule(1_000, lambda: None, tag="timeout"))
     nack = wire.make_message(MT.SESSION_ACK, 42, ST.AGENT_TO_MANAGER,
                              status=503, source_plug_port=1,
                              dest_socket_new_port=2)
@@ -402,7 +403,68 @@ def test_pending_session_expires_without_ack(fig1_graph):
                if j[1] == "log")
 
 
+# -- requests to agents -------------------------------------------------------
+
+def _unanswered_request(net, cluster, kind):
+    """The message id of one request of `kind` that the agent never gets."""
+    manager = cluster.manager
+    _drive_session(net, cluster, "A", 1, "P")
+    manager._send = lambda addr, m: True
+    if kind == "exec":
+        manager.execute_instance("B")
+    elif kind == "close":
+        manager.request_session_close(manager.established_sessions()[0],
+                                      "source")
+    else:
+        manager.request_hard_shutdown(manager.instances[("B", 1)])
+    (mid,) = manager._pending
+    return mid
+
+
+@pytest.mark.parametrize("kind, request_name, wrong_type, wrong_name", [
+    ("exec", "execution request", MT.HARD_SHUTDOWN_RESPONSE,
+     "shutdown response"),
+    ("close", "close request", MT.EXECUTION_RESPONSE, "execution_response"),
+    ("shutdown", "shutdown request", MT.SOURCE_SESSION_CLOSE_RESPONSE,
+     "close_response"),
+])
+def test_request_resolves_only_by_its_own_kind(fig1_graph, kind, request_name,
+                                               wrong_type, wrong_name):
+    net, cluster = _booted(fig1_graph)
+    manager = cluster.manager
+    mid = _unanswered_request(net, cluster, kind)
+    sub = None if wrong_type is MT.EXECUTION_RESPONSE else ST.AGENT_TO_MANAGER
+    manager.handle_response(
+        "fd00::a1", wire.make_message(wrong_type, mid, sub, status=wire.OK))
+    logs = [text for _t, k, text in manager.journal if k == "log"]
+    assert logs[-1] == f"{wrong_name} with unknown id {mid}"
+    assert manager._pending[mid].kind == kind
+    assert manager.established_sessions()  # the close did not resolve
+    net.run(until_ms=net.now_ms() + manager.config.request_timeout_ms + 100)
+    assert mid not in manager._pending
+    logs = [text for _t, k, text in manager.journal if k == "log"]
+    assert f"{request_name} {mid} timed out" in logs
+
+
 # -- isolation ----------------------------------------------------------------
+
+def test_isolation_during_graceful_shutdown_leaves_instance_closed(fig1_graph):
+    from ssmmp.harness.invariants import check_isolation
+    net, cluster = make_cluster(
+        fig1_graph, [("fd00::a1", ["A"]), ("fd00::a2", ["B"])])
+    manager = cluster.manager
+    manager.start_app()
+    manager.execute_instance("B")
+    net.run(until_ms=net.now_ms() + 30)
+    inst = manager.instances[("B", 1)]
+    manager.request_graceful_shutdown(inst)  # no sessions: sent at once
+    cluster.kill_node("fd00::a2")
+    net.run(until_ms=net.now_ms() + 100)
+    assert manager.agents["fd00::a2"].status is AgentStatus.ISOLATED
+    assert inst.state is InstanceState.CLOSED
+    verdict = check_isolation(manager)
+    assert verdict.ok, verdict.render()
+
 
 def test_isolate_node_post_state_table_scan(fig1_graph):
     net, cluster = make_cluster(

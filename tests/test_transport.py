@@ -131,13 +131,16 @@ def test_break_link_closes_on_send_and_heals():
 
 def _scripted_run(seed):
     net = _two_nodes(seed)
+    events = []
+    net.on_event = lambda _seq, kind, src, dst, detail: events.append(
+        (kind, str(src), str(dst), detail))
     inbox = []
     _echo_listener(net, "fd00::b", 9000, inbox)
     for i in range(3):
         ch, _m, _l = net.connect("fd00::a", Endpoint("fd00::b", 9000))
         ch.send(f"hello-{i}".encode())
     net.run()
-    return [(e.kind, str(e.src), str(e.dst), e.detail) for e in net.events]
+    return events
 
 
 def test_equal_seeds_equal_traces():
