@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
-from .transport import ChannelClosed, ConnectionRefused, Endpoint, NodeDown
+from .transport import (ConnectionRefused, Endpoint, NodeDown, read_messages,
+                        send_message)
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -50,13 +51,15 @@ class _Flow:
     awaiting_ack: bool = False  # the 200 went down; the ack has not come up
 
 
+HEALTH_POLL_MS = 2_000     # how often running instances are asked
+REGISTER_RETRY_MS = 1_000  # wait before registering again
+
+
 @dataclass
 class AgentConfig:
     agent_port: int = 7070
     manager_port: int = 7000
-    health_poll_ms: int = 2_000
     instance_timeout_ms: int = 5_000
-    register_retry_ms: int = 1_000
 
 
 class SpawnError(Exception):
@@ -109,7 +112,6 @@ class Agent:
         self.log: list[str] = []
         self._ids = wire.IdCounter()
         self._manager_ch = None
-        self._instance_by_channel: dict[int, LocalInstance] = {}
         self._flows: dict[int, _Flow] = {}
         # Correlation discipline: message ids are per originator, so two local
         # instances may reuse one id. Establishment replies and acks carry no
@@ -126,7 +128,12 @@ class Agent:
                         kind="control")
         self.register()
         self._timers.append(self.env.schedule_repeating(
-            self.config.health_poll_ms, self.health_poll_tick, tag="tick"))
+            HEALTH_POLL_MS, self.health_poll_tick, tag="tick"))
+
+    def has_pending(self) -> bool:
+        """A live agent awaits a health reply or relays an establishment;
+        its held session requests wait only behind such a flow."""
+        return self.alive and bool(self._pending_health or self._flows)
 
     def mark_dead(self) -> None:
         self.alive = False
@@ -146,22 +153,15 @@ class Agent:
                 Endpoint(self.manager_addr, self.config.manager_port),
                 kind="control")
         except (NodeDown, ConnectionRefused):
-            self.env.schedule(self.config.register_retry_ms, self.register,
-                              tag="retry")
+            self.env.schedule(REGISTER_RETRY_MS, self.register, tag="retry")
             return
         self._manager_ch = ch
-        reader = wire.MessageReader()
-
-        def on_data(channel, data):
-            for msg in reader.feed(data):
-                self._from_manager(msg)
-
-        ch.set_handlers(on_data, self._on_manager_close)
-        msg = wire.make_message(
+        read_messages(ch, lambda _ch, msg: self._from_manager(msg),
+                      self._on_manager_close)
+        send_message(ch, wire.make_message(
             MT.INITIATION_REQUEST, self._ids.next(),
             agent_network_address=self.node_addr,
-            service_repository=wire.format_name_list(sorted(self.repository)))
-        ch.send(wire.serialize_message(msg))
+            service_repository=wire.format_name_list(sorted(self.repository))))
 
     def _on_manager_close(self, channel) -> None:
         if channel is not self._manager_ch:
@@ -169,19 +169,13 @@ class Agent:
         self._manager_ch = None
         self.registered = False
         if self.alive:
-            self.env.schedule(self.config.register_retry_ms, self.register,
-                              tag="retry")
+            self.env.schedule(REGISTER_RETRY_MS, self.register, tag="retry")
 
     def _to_manager(self, msg: Message) -> bool:
-        if self._manager_ch is None or not self._manager_ch.is_open:
-            self.log.append(f"manager unreachable, dropping {msg.msg_type.value}")
-            return False
-        try:
-            self._manager_ch.send(wire.serialize_message(msg))
+        if send_message(self._manager_ch, msg):
             return True
-        except ChannelClosed:
-            self.log.append(f"manager channel died sending {msg.msg_type.value}")
-            return False
+        self.log.append(f"manager unreachable, dropping {msg.msg_type.value}")
+        return False
 
     # -- channels from runtimes -----------------------------------------------
 
@@ -192,33 +186,17 @@ class Agent:
             channel.close()
             return
         li.channel = channel
-        self._instance_by_channel[id(channel)] = li
-        reader = wire.MessageReader()
+        read_messages(channel, lambda _ch, msg: self._from_instance(li, msg),
+                      lambda ch: self._on_runtime_close(li, ch))
 
-        def on_data(ch, data):
-            for msg in reader.feed(data):
-                self._from_instance(li, msg)
-
-        channel.set_handlers(on_data, self._on_runtime_close)
-
-    def _on_runtime_close(self, channel) -> None:
-        li = self._instance_by_channel.pop(id(channel), None)
-        if li is not None and li.channel is channel:
+    def _on_runtime_close(self, li: LocalInstance, channel) -> None:
+        if li.channel is channel:
             li.channel = None
             if li.state == "running" and not li.handle.alive:
                 # Unexpected death: tell the control plane now rather than
                 # waiting for the next poll to find the corpse.
                 li.state = "exited"
                 self._report_health(li, wire.INTERNAL_ERROR)
-
-    def _to_instance(self, li: LocalInstance, msg: Message) -> bool:
-        if li.channel is None or not li.channel.is_open:
-            return False
-        try:
-            li.channel.send(wire.serialize_message(msg))
-            return True
-        except ChannelClosed:
-            return False
 
     # -- messages from Manager --------------------------------------------
 
@@ -227,8 +205,7 @@ class Agent:
             if wire.is_success(msg.status):
                 self.registered = True
             else:
-                self.env.schedule(self.config.register_retry_ms, self.register,
-                                  tag="retry")
+                self.env.schedule(REGISTER_RETRY_MS, self.register, tag="retry")
             return
         if msg.msg_type is MT.EXECUTION_REQUEST:
             self.handle_execution_request(msg)
@@ -237,7 +214,7 @@ class Agent:
             mid = msg.message_id
             flow = self._flows.get(mid)
             if (flow is None or flow.awaiting_ack
-                    or not self._to_instance(flow.instance, rewrite_for_relay(
+                    or not send_message(flow.instance.channel, rewrite_for_relay(
                         msg, self.node_addr))):
                 self.log.append(f"session_response {mid} undeliverable")
                 self._session_flow_done(mid)
@@ -279,7 +256,8 @@ class Agent:
     def _forward_to_instance(self, msg: Message) -> None:
         li = self._target_of(msg)
         delivered = (li is not None and li.state == "running"
-                     and self._to_instance(li, rewrite_for_relay(msg, self.node_addr)))
+                     and send_message(li.channel,
+                                      rewrite_for_relay(msg, self.node_addr)))
         if not delivered:
             # Dead or missing instance: answer for it so the flow resolves.
             mt, sub = self._FAILURE_RESPONSE[msg.msg_type]
@@ -316,7 +294,7 @@ class Agent:
         mid = msg.message_id
         if not self._to_manager(rewrite_for_relay(msg, self.node_addr)):
             # Upstream dead: fail the open instead of letting it hang.
-            self._to_instance(li, wire.make_message(
+            send_message(li.channel, wire.make_message(
                 MT.SESSION_RESPONSE, mid, ST.AGENT_TO_SERVICE,
                 status=wire.UNREACHABLE,
                 dest_service_instance_network_address=self.node_addr,
@@ -410,7 +388,7 @@ class Agent:
                 self._report_health(li, wire.INTERNAL_ERROR)
                 continue
             mid = self._ids.next()
-            sent = self._to_instance(li, wire.make_message(
+            sent = send_message(li.channel, wire.make_message(
                 MT.HEALTH_CONTROL_REQUEST, mid, ST.AGENT_TO_SERVICE_INSTANCE,
                 service_name=li.service_name,
                 service_instance_id=li.instance_id))

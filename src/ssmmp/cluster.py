@@ -38,14 +38,16 @@ class Cluster:
                                journal_sink=journal_sink)
         self.agents: dict[str, Agent] = {}
         self.runtimes: dict[tuple[str, int], ServiceRuntime] = {}
+        agent_config = agent_config or AgentConfig()
         for node in nodes:
             fabric.add_node(node.addr)
             repo = {name: self._repo_entry(name, node.behavior)
                     for name in node.repo}
             self.agents[node.addr] = Agent(
                 fabric.env(node.addr, f"agent-{node.addr}"), node.addr,
-                manager_addr, repo, self._make_spawn(node.addr),
-                agent_config or AgentConfig())
+                manager_addr, repo,
+                self._make_spawn(node.addr, agent_config.agent_port),
+                agent_config)
 
     def _graph_of(self, service: str) -> AbstractGraph:
         for g in self.graphs:
@@ -57,7 +59,7 @@ class Cluster:
         spec = self._graph_of(service).service(service)
         return RepositoryEntry(service, spec.sockets, spec.plugs, behavior)
 
-    def _make_spawn(self, node_addr: str):
+    def _make_spawn(self, node_addr: str, agent_port: int):
         def spawn(service, instance_id, sockets, plugs, bytecode):
             g = self._graph_of(service)
             plug_sockets = {e.plug: e.socket
@@ -69,7 +71,7 @@ class Cluster:
                 socket_ports=tuple(sockets),
                 plug_targets=tuple(plugs),
                 plug_sockets=plug_sockets,
-                agent_addr=node_addr)
+                agent_port=agent_port)
             env = self.fabric.env(node_addr, f"rt-{service}.{instance_id}")
             rt = ServiceRuntime(env, config, make_behavior(bytecode))
             rt._loop = getattr(env, "loop", None)
@@ -114,13 +116,6 @@ class Cluster:
         return [rt for rt in self.runtimes.values() if rt.state == "running"]
 
     def has_pending(self) -> bool:
-        if self.manager.has_pending():
-            return True
-        # An agent's held session requests wait only behind a live flow.
-        for agent in self.agents.values():
-            if agent.alive and (agent._pending_health or agent._flows):
-                return True
-        for rt in self.live_runtimes():
-            if rt._pending_opens:
-                return True
-        return False
+        return (self.manager.has_pending()
+                or any(a.has_pending() for a in self.agents.values())
+                or any(rt.has_pending() for rt in self.live_runtimes()))

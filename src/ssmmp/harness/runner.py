@@ -118,8 +118,7 @@ def _user_request(ctx: RunContext, alias: str) -> None:
         def on_data(channel, data):
             for payload in reader.feed(data):
                 ctx.user_replies.append(payload)
-                if channel.is_open:
-                    channel.close()
+                channel.close()
 
         ch.set_handlers(on_data, lambda channel: None)
         ch.send(frame(b"task:user"))

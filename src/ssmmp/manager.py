@@ -17,11 +17,13 @@ from typing import Callable, Iterable
 
 from . import wire
 from .graph import AbstractGraph, ServiceKind, outgoing_connections
-from .transport import ChannelClosed
+from .transport import read_messages, send_message
 from .wire import Message, MessageType as MT, SubType as ST
 
 
 SessionKey = tuple[str, int | None, str, int, int | None]
+
+IDLE_POLL_MS = 1_000  # how often idle instances are looked for
 
 
 class AgentStatus(Enum):
@@ -173,7 +175,6 @@ class PortPool:
 class ManagerConfig:
     manager_port: int = 7000
     idle_timeout_ms: int = 30_000
-    idle_poll_ms: int = 1_000
     request_timeout_ms: int = 5_000
     port_pool_start: int = 20_000
     # hook(service_name, status) for 429 reports; policy left pluggable
@@ -237,7 +238,7 @@ class Manager:
         self._ids = wire.IdCounter()
         self._instance_ids: dict[str, int] = {}
         self._channels: dict[str, object] = {}       # agent addr -> channel
-        self._channel_addr: dict[int, str] = {}      # id(channel) -> addr
+        self._channel_addr: dict[object, str] = {}   # channel -> agent addr
         self._pools: dict[str, PortPool] = {}
         self._pending: dict[int, _Pending] = {}
         # (source agent, request id) -> (record, expiry timer)
@@ -249,7 +250,7 @@ class Manager:
     def start(self) -> None:
         self.env.listen(self.config.manager_port, self._on_agent_connect,
                         kind="control")
-        self.env.schedule_repeating(self.config.idle_poll_ms, self.idle_tick,
+        self.env.schedule_repeating(IDLE_POLL_MS, self.idle_tick,
                                     tag="tick")
 
     def start_app(self) -> None:
@@ -291,26 +292,18 @@ class Manager:
         ch = self._channels.get(agent_addr)
         if ch is None or not ch.is_open:
             return False
-        try:
-            ch.send(wire.serialize_message(msg))
+        if send_message(ch, msg):
             return True
-        except ChannelClosed:
-            # The link died under us; the agent is unreachable right now.
-            self._log(f"send to {agent_addr} failed, probing")
-            self._probe_agent(agent_addr)
-            return False
+        # The link died under us; the agent is unreachable right now.
+        self._log(f"send to {agent_addr} failed, probing")
+        self._probe_agent(agent_addr)
+        return False
 
     def _on_agent_connect(self, channel, info) -> None:
-        reader = wire.MessageReader()
-
-        def on_data(ch, data):
-            for msg in reader.feed(data):
-                self._dispatch(ch, msg)
-
-        channel.set_handlers(on_data, self._on_agent_channel_close)
+        read_messages(channel, self._dispatch, self._on_agent_channel_close)
 
     def _on_agent_channel_close(self, channel) -> None:
-        addr = self._channel_addr.pop(id(channel), None)
+        addr = self._channel_addr.pop(channel, None)
         if addr is None:
             return
         if self._channels.get(addr) is channel:
@@ -326,7 +319,7 @@ class Manager:
         if msg.msg_type is MT.INITIATION_REQUEST:
             self.handle_initiation_request(channel, msg)
             return
-        addr = self._channel_addr.get(id(channel))
+        addr = self._channel_addr.get(channel)
         if addr is None:
             self._log(f"message from unregistered channel dropped: {msg.msg_type.value}")
             return
@@ -354,8 +347,8 @@ class Manager:
         try:
             repo = wire.parse_name_list(msg.get("service_repository"))
         except wire.WireSyntaxError:
-            channel.send(wire.serialize_message(wire.make_message(
-                MT.INITIATION_RESPONSE, msg.message_id, status=wire.MALFORMED)))
+            send_message(channel, wire.make_message(
+                MT.INITIATION_RESPONSE, msg.message_id, status=wire.MALFORMED))
             return
         seen: list[str] = []
         for name in repo:
@@ -363,9 +356,9 @@ class Manager:
                 seen.append(name)
         self.agents[addr] = AgentRecord(addr, seen, AgentStatus.UP)
         self._channels[addr] = channel
-        self._channel_addr[id(channel)] = addr
-        channel.send(wire.serialize_message(wire.make_message(
-            MT.INITIATION_RESPONSE, msg.message_id, status=wire.OK)))
+        self._channel_addr[channel] = addr
+        send_message(channel, wire.make_message(
+            MT.INITIATION_RESPONSE, msg.message_id, status=wire.OK))
 
     # -- instance execution -----------------------------------------------
 
@@ -770,8 +763,8 @@ class Manager:
         if not pending.hard:
             if wire.is_success(status):
                 self._mark_instance_closed(instance, "graceful")
-            else:
-                # Isolation may have closed the instance meanwhile.
+            elif instance.state is not InstanceState.CLOSED:
+                # Closed meanwhile, as isolation does: no agent refused it.
                 if instance.state is InstanceState.DRAINING:
                     instance.state = InstanceState.RUNNING
                 self._log(f"graceful shutdown of {instance.canonical_name} "
@@ -811,9 +804,8 @@ class Manager:
         self._decision("isolate_node", addr)
         ch = self._channels.pop(addr, None)
         if ch is not None:
-            self._channel_addr.pop(id(ch), None)
-            if ch.is_open:
-                ch.close()
+            self._channel_addr.pop(ch, None)
+            ch.close()
         # Sessions touching the node: ask the surviving side to close, then
         # regard them as closed here regardless.
         for s in list(self._sessions_by_node.get(addr, {}).values()):

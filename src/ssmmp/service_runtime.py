@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
-from .transport import ChannelClosed, ConnectionRefused, Endpoint, NodeDown
+from .transport import (ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
+                        read_messages, send_message)
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -32,20 +33,13 @@ class InstanceConfig:
     socket_ports: tuple[tuple[str, int], ...]
     plug_targets: tuple[tuple[str, str], ...]   # plug -> dest service (wire config)
     plug_sockets: dict[str, str]                # plug -> counterpart socket (codebase)
-    agent_addr: str = ""
-    agent_port: int = 7070
+    agent_port: int = 7070                      # the agent's, on node_addr
 
     def plug_target(self, plug: str) -> str:
         for p, svc in self.plug_targets:
             if p == plug:
                 return svc
         raise KeyError(plug)
-
-
-class OpenFailed(Exception):
-    def __init__(self, status: int):
-        self.status = status
-        super().__init__(f"session open failed: {status}")
 
 
 @dataclass
@@ -111,8 +105,6 @@ class ServiceRuntime:
         self._control = None
         self._listeners: list[object] = []
         self._pending_opens: dict[int, _PendingOpen] = {}
-        self._handle_by_channel: dict[int, SessionHandle] = {}
-        self._frames: dict[int, FrameReader] = {}
         self.on_exit: Callable | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -124,21 +116,20 @@ class ServiceRuntime:
                 port, self._make_acceptor(socket_name, port), kind="data")
             self._listeners.append(listener)
         ch, _m, _l = self.env.connect(
-            Endpoint(self.config.agent_addr, self.config.agent_port),
+            Endpoint(self.config.node_addr, self.config.agent_port),
             kind="control",
             meta={"service": self.config.service_name,
                   "instance": str(self.config.instance_id)})
         self._control = ch
-        reader = wire.MessageReader()
-
-        def on_data(channel, data):
-            for msg in reader.feed(data):
-                self._from_agent(msg)
-
-        ch.set_handlers(on_data, lambda channel: None)
+        read_messages(ch, lambda _ch, msg: self._from_agent(msg),
+                      lambda _ch: None)
         self.state = "running"
         self.alive = True
         self.behavior.on_started(self)
+
+    def has_pending(self) -> bool:
+        """A session open awaits the control plane's response."""
+        return bool(self._pending_opens)
 
     def kill(self) -> None:
         """Hard death: everything closes, nothing is said."""
@@ -160,9 +151,8 @@ class ServiceRuntime:
         for handle in self.source_handles + self.dest_handles:
             if handle.state == "open":
                 handle.state = "closed"
-                if handle.channel.is_open:
-                    handle.channel.close()
-        if self._control is not None and self._control.is_open:
+                handle.channel.close()
+        if self._control is not None:
             self._control.close()
         for pending in self._pending_opens.values():
             if pending.timer is not None:
@@ -172,13 +162,7 @@ class ServiceRuntime:
     # -- control plane ---------------------------------------------------
 
     def _send_control(self, msg: Message) -> bool:
-        if self._control is None or not self._control.is_open:
-            return False
-        try:
-            self._control.send(wire.serialize_message(msg))
-            return True
-        except ChannelClosed:
-            return False
+        return send_message(self._control, msg)
 
     def _from_agent(self, msg: Message) -> None:
         if not self.alive:
@@ -222,11 +206,10 @@ class ServiceRuntime:
             dest_socket_name=socket_name)
         pending = _PendingOpen(plug_name, dest_service, socket_name,
                                on_established, on_failed)
-        self._pending_opens[mid] = pending
         if not self._send_control(msg):
-            del self._pending_opens[mid]
             self._open_failed(pending, wire.UNREACHABLE)
             return mid
+        self._pending_opens[mid] = pending
         pending.timer = self.env.schedule(
             self.OPEN_TIMEOUT_MS, lambda: self._open_timeout(mid), tag="timeout")
         return mid
@@ -324,25 +307,24 @@ class ServiceRuntime:
     # -- data plane ---------------------------------------------------------
 
     def _attach(self, handle: SessionHandle) -> None:
-        self._handle_by_channel[id(handle.channel)] = handle
-        self._frames[id(handle.channel)] = FrameReader()
-        handle.channel.set_handlers(self._on_channel_data, self._on_channel_close)
+        frames = FrameReader()
+        handle.channel.set_handlers(
+            lambda _ch, data: self._on_channel_data(handle, frames, data),
+            lambda _ch: self._on_channel_close(handle))
 
-    def _on_channel_data(self, channel, data: bytes) -> None:
-        handle = self._handle_by_channel.get(id(channel))
-        if handle is None or not self.alive:
+    def _on_channel_data(self, handle: SessionHandle, frames: FrameReader,
+                         data: bytes) -> None:
+        if not self.alive:
             return
-        for payload in self._frames[id(channel)].feed(data):
+        for payload in frames.feed(data):
             if handle.role == "source":
                 self.behavior.on_reply(self, handle, payload)
             else:
                 self.behavior.on_request(self, handle, payload)
 
-    def _on_channel_close(self, channel) -> None:
-        handle = self._handle_by_channel.get(id(channel))
-        if handle is None or handle.state == "closed" or not self.alive:
-            return
-        self.close_session(handle)
+    def _on_channel_close(self, handle: SessionHandle) -> None:
+        if handle.state != "closed" and self.alive:
+            self.close_session(handle)
 
     def send(self, handle: SessionHandle, payload: bytes) -> None:
         if handle.state != "open":
@@ -358,8 +340,7 @@ class ServiceRuntime:
         if handle.state == "closed":
             return
         handle.state = "closed"
-        if handle.channel.is_open:
-            handle.channel.close()
+        handle.channel.close()
         self.behavior.on_session_closed(self, handle)
         if handle.role == "external" or suppress_info:
             return

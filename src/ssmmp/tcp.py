@@ -1,12 +1,14 @@
 """Loopback-TCP transport: the same actor contract over real sockets.
 
-Every logical node address maps to a distinct loopback IP; connections bind
-their node's IP so the peer's logical identity is recoverable. Real TCP does
-not expose a per-session listener port, so the acceptor allocates a logical
-one and announces it in a one-line preamble: from the simulator's ephemeral
-range, 40000 up, then the ports of released channels, oldest first. The
-connector's preamble carries the connect metadata the simulated fabric passes
-natively (plug name or instance identity). Either side waits at most
+`TcpChannel` is a `transport.ChannelEnd`, so handler buffering and control
+I/O (`send_message`, `read_messages`) are the simulator's. Every logical
+node address maps to a distinct loopback IP; connections bind their node's
+IP so the peer's logical identity is recoverable. Real TCP does not expose a
+per-session listener port, so the acceptor allocates a logical one and
+announces it in a one-line preamble: from the simulator's ephemeral range,
+40000 up, then the ports of released channels, oldest first. The connector's
+preamble carries the connect metadata the simulated fabric passes natively
+(plug name or instance identity). Either side waits at most
 PREAMBLE_TIMEOUT_S for the other's preamble, and a malformed one closes the
 connection. Runs are wall-clock and excluded from determinism guarantees.
 
@@ -36,8 +38,8 @@ from functools import partial
 
 from .cluster import Cluster
 from .transport import (EPHEMERAL_END, EPHEMERAL_START, AcceptInfo,
-                        ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
-                        PortInUse, Timer)
+                        ChannelClosed, ChannelEnd, ConnectionRefused,
+                        Endpoint, NodeDown, PortInUse, Timer)
 
 PREAMBLE_TIMEOUT_S = 2.0
 _RECV_BYTES = 65536
@@ -78,6 +80,15 @@ def _run_if_alive(timer: Timer, fn) -> None:
     even after the deadline, still wins."""
     if timer.alive:
         fn()
+
+
+def _shut(sock: socket.socket) -> None:
+    """Send the FIN, or free a listening port for a new listen(), now; the
+    socket itself is closed on the I/O thread, which may be reading it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
 
 
 def _unblocked_recv(sock: socket.socket) -> bytes | None:
@@ -246,7 +257,7 @@ class _IoLoop:
         self._wake_w.close()
 
 
-class TcpChannel:
+class TcpChannel(ChannelEnd):
     """One end of a connection. The I/O thread reads it and posts what it
     reads to the owning actor's loop; `send` writes from the caller's thread.
     The socket is closed on the I/O thread once either end has closed; an
@@ -255,35 +266,12 @@ class TcpChannel:
     def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
                  local: Endpoint, remote: Endpoint, kind: str,
                  session_port: int | None = None):
+        super().__init__(local, remote, kind)
         self._fabric = fabric
         self._sock = sock
         self._loop = loop
-        self.local = local
-        self.remote = remote
-        self.kind = kind
         self._send_lock = threading.Lock()
-        self._open = True
-        self.on_data = None
-        self.on_close = None
-        self._inbox: list[bytes] = []
-        self._pending_close = False
         self._session_port = session_port
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def set_handlers(self, on_data, on_close) -> None:
-        self.on_data = on_data
-        self.on_close = on_close
-        if self._inbox:  # data that came before the handlers, in order
-            inbox, self._inbox = self._inbox, []
-            for data in inbox:
-                self.on_data(self, data)
-        if self._pending_close:
-            self._pending_close = False
-            if self.on_close is not None:
-                self.on_close(self)
 
     def send(self, data: bytes) -> None:
         if not self._open:
@@ -296,15 +284,9 @@ class TcpChannel:
             raise ChannelClosed(str(e)) from e
 
     def close(self) -> None:
-        if not self._open:
-            return
-        # shutdown() sends the FIN now; the socket itself is closed on the
-        # I/O thread, which may be reading it.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._drop()
+        if self._open:
+            _shut(self._sock)
+            self._drop()
 
     def _drop(self) -> None:
         self._open = False
@@ -326,25 +308,15 @@ class TcpChannel:
         if data is None:
             return
         if data:
-            self._loop.post(partial(self._deliver, data))
+            self._loop.post(partial(self._arrive, data))
             return
         self._fabric._io.unregister(self._sock)
         self._loop.post(self._closed_by_peer)
 
-    def _deliver(self, data: bytes) -> None:
-        if self.on_data is None:
-            self._inbox.append(data)
-        else:
-            self.on_data(self, data)
-
     def _closed_by_peer(self) -> None:
-        if not self._open:
-            return
-        self._drop()
-        if self.on_close is None:
-            self._pending_close = True
-        else:
-            self.on_close(self)
+        if self._open:
+            self._drop()
+            self._peer_closed()
 
 
 class _TcpListener:
@@ -361,16 +333,10 @@ class _TcpListener:
         self._open = True
 
     def close(self) -> None:
-        if not self._open:
-            return
-        self._open = False
-        # shutdown() frees the port at once for a new listen(); the socket
-        # itself is closed on the I/O thread.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._fabric._io.call_soon(self._release)
+        if self._open:
+            self._open = False
+            _shut(self._sock)
+            self._fabric._io.call_soon(self._release)
 
     def _release(self) -> None:
         self._fabric._io.unregister(self._sock)
@@ -403,7 +369,7 @@ class _TcpListener:
         info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
         env.loop.post(partial(self._on_accept, channel, info))
         if rest:
-            env.loop.post(partial(channel._deliver, rest))
+            env.loop.post(partial(channel._arrive, rest))
         fabric._io.register(conn, channel._on_readable)
 
 
@@ -681,7 +647,7 @@ class TcpEnv:
         channel = TcpChannel(fabric, sock, self.loop, Endpoint(self.addr, m),
                              Endpoint(dst.addr, session_port), kind)
         if rest:
-            channel._inbox.append(rest)
+            channel._arrive(rest)
         fabric._track(fabric._channels, channel)
         fabric._io.call_soon(
             lambda: fabric._io.register(sock, channel._on_readable))

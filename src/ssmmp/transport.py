@@ -12,6 +12,11 @@ endpoint and any connect metadata, the connector learns l. A channel's port
 is bound while it is open and free again once it closes. Each node hands out
 ephemeral ports in rising order from 40000, wraps to 40000 after 65535, and
 skips ports still bound.
+
+Both fabrics' channels are a `ChannelEnd`, which holds the handlers and
+what arrives before them; `Channel` and `tcp.TcpChannel` add only send, close
+and delivery. Every control message leaves through `send_message` and is read
+through `read_messages`, with one `wire.MessageReader` per channel.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from __future__ import annotations
 import heapq
 import random
 from typing import Callable, NamedTuple
+
+from . import wire
+from .wire import Message
 
 EPHEMERAL_START = 40000
 EPHEMERAL_END = 65535
@@ -61,21 +69,21 @@ class AcceptInfo(NamedTuple):
     meta: dict
 
 
-class Channel:
-    """One end of an ordered reliable duplex byte stream."""
+class ChannelEnd:
+    """One end of an ordered reliable duplex byte stream, on either fabric.
 
-    def __init__(self, net: SimNetwork, local: Endpoint, remote: Endpoint,
-                 kind: str, tie: float):
-        self._net = net
+    Data and a peer's close that come before `set_handlers` wait here, and
+    are replayed in order once it is called. A subclass sends and closes (a
+    no-op on a closed end), and hands what arrives to `_arrive` and
+    `_peer_closed`. Ends hash by identity."""
+
+    def __init__(self, local: Endpoint, remote: Endpoint, kind: str):
         self.local = local
         self.remote = remote
         self.kind = kind  # control | data | external
-        self._tie = tie
-        self._peer: Channel | None = None
-        self._floor = 0
         self._open = True
-        self.on_data: Callable[[Channel, bytes], None] | None = None
-        self.on_close: Callable[[Channel], None] | None = None
+        self.on_data: Callable[[ChannelEnd, bytes], None] | None = None
+        self.on_close: Callable[[ChannelEnd], None] | None = None
         self._inbox: list[bytes] = []
         self._pending_close = False
 
@@ -92,7 +100,56 @@ class Channel:
                 self.on_data(self, data)
         if self._pending_close:
             self._pending_close = False
-            self._fire_close()
+            self._peer_closed()
+
+    def _arrive(self, data: bytes) -> None:
+        if self.on_data is None:
+            self._inbox.append(data)
+        else:
+            self.on_data(self, data)
+
+    def _peer_closed(self) -> None:
+        """The peer closed this end: tell the handler, now or once set."""
+        if self.on_data is None and self.on_close is None:
+            self._pending_close = True
+        elif self.on_close is not None:
+            self.on_close(self)
+
+
+def send_message(channel: ChannelEnd | None, msg: Message) -> bool:
+    """Serialize `msg` and send it on `channel`. False when the channel is
+    missing or closed, or closes under the send."""
+    if channel is None or not channel.is_open:
+        return False
+    try:
+        channel.send(wire.serialize_message(msg))
+    except ChannelClosed:
+        return False
+    return True
+
+
+def read_messages(channel: ChannelEnd, on_message, on_close) -> None:
+    """Set `channel`'s handlers: its bytes go through one MessageReader,
+    and each whole message to `on_message(channel, msg)`."""
+    reader = wire.MessageReader()
+
+    def on_data(ch, data):
+        for msg in reader.feed(data):
+            on_message(ch, msg)
+
+    channel.set_handlers(on_data, on_close)
+
+
+class Channel(ChannelEnd):
+    """A simulated end; its peer is the other end of the same connection."""
+
+    def __init__(self, net: SimNetwork, local: Endpoint, remote: Endpoint,
+                 kind: str, tie: float):
+        super().__init__(local, remote, kind)
+        self._net = net
+        self._tie = tie
+        self._peer: Channel | None = None
+        self._floor = 0
 
     def send(self, data: bytes) -> None:
         if not self._open:
@@ -101,36 +158,20 @@ class Channel:
 
     def close(self) -> None:
         """Close both ends; the peer is notified after one hop of latency."""
-        if not self._open:
-            return
-        self._net._unbind(self)
-        self._net._event("close", self.local, self.remote)
-        peer = self._peer
-        if peer is not None and peer._open:
-            self._net._after_channel(self, lambda: peer._close_from_peer())
+        if self._open:
+            self._net._close_end(self)
 
     def _close_from_peer(self) -> None:
-        if not self._open:
-            return
-        self._net._unbind(self)
-        if self.on_close is None and self.on_data is None:
-            self._pending_close = True
-        else:
-            self._fire_close()
-
-    def _fire_close(self) -> None:
-        if self.on_close is not None:
-            self.on_close(self)
+        if self._open:
+            self._net._unbind(self)
+            self._peer_closed()
 
     def _deliver(self, data: bytes) -> None:
         if not self._open:
             self._net._event("drop", self.remote, self.local, f"len={len(data)}")
             return
         self._net._event("deliver", self.remote, self.local, f"len={len(data)}")
-        if self.on_data is None:
-            self._inbox.append(data)
-        else:
-            self.on_data(self, data)
+        self._arrive(data)
 
 
 class Listener:
@@ -335,11 +376,7 @@ class SimNetwork:
             self._listeners.pop(ep)
         for ch in list(self._channels.values()):
             if ch.local.addr == addr:
-                self._unbind(ch)
-                self._event("close", ch.local, ch.remote, "node_down")
-                peer = ch._peer
-                if peer is not None and peer._open:
-                    self._after_channel(ch, peer._close_from_peer)
+                self._close_end(ch, "node_down")
 
     def break_link(self, a: str, b: str) -> None:
         self._broken.add(frozenset((a, b)))
@@ -369,6 +406,14 @@ class SimNetwork:
         """Mark `ch` closed and free its local port."""
         ch._open = False
         del self._channels[ch.local]
+
+    def _close_end(self, ch: Channel, detail: str = "") -> None:
+        """Close `ch` here, and its peer one hop later."""
+        self._unbind(ch)
+        self._event("close", ch.local, ch.remote, detail)
+        peer = ch._peer
+        if peer is not None and peer._open:
+            self._after_channel(ch, peer._close_from_peer)
 
     # -- connectivity -------------------------------------------------------
 
@@ -421,11 +466,7 @@ class SimNetwork:
                 or not self.node_up(ch.remote.addr):
             # Broken path: both ends observe a close instead of a delivery.
             self._event("drop", ch.local, ch.remote, f"len={len(data)}")
-            peer = ch._peer
-            self._unbind(ch)
-            self._event("close", ch.local, ch.remote, "link_broken")
-            if peer is not None and peer._open:
-                self._after_channel(ch, peer._close_from_peer)
+            self._close_end(ch, "link_broken")
             raise ChannelClosed(f"link down {ch.local} -> {ch.remote}")
         peer = ch._peer
         self._after_channel(ch, lambda: peer._deliver(data))

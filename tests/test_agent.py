@@ -5,7 +5,7 @@ import pytest
 from conftest import make_cluster
 
 from ssmmp import wire
-from ssmmp.agent import rewrite_for_relay
+from ssmmp.agent import AgentConfig, rewrite_for_relay
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -205,3 +205,17 @@ def test_agent_forwards_responses_only_after_manager_sent_them(fig1_graph):
                    and u.fields == msg.fields for u in upstream)
     # and once relayed, the agent holds no session state of its own
     assert cluster.agents["fd00::a1"]._flows == {}
+
+
+def test_runtime_dials_the_agents_configured_port(fig1_graph):
+    net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A", "B"])],
+                                agent_config=AgentConfig(agent_port=7171))
+    cluster.manager.start_app()
+    net.run(until_ms=net.now_ms() + 200)
+    rt = cluster.runtime("A", 1)
+    assert rt.state == "running"
+    rt.open_session("P")
+    net.run(until_ms=net.now_ms() + 100)
+    assert [(h.role, h.params["dest_service_name"])
+            for h in rt.source_handles] == [("source", "B")]
+    assert len(cluster.manager.established_sessions()) == 1

@@ -464,6 +464,9 @@ def test_isolation_during_graceful_shutdown_leaves_instance_closed(fig1_graph):
     assert inst.state is InstanceState.CLOSED
     verdict = check_isolation(manager)
     assert verdict.ok, verdict.render()
+    # the 503 that isolation resolves the shutdown with is not a refusal
+    assert not [text for _t, _kind, text in manager.journal
+                if "refused" in text]
 
 
 def test_isolate_node_post_state_table_scan(fig1_graph):
