@@ -5,7 +5,9 @@ control plane's request, and forwards messages in both directions, rewriting
 only the route tag (and inserting its own address where the upstream template
 adds it). It polls instance health and reports abnormal results upward.
 Each session establishment it relays is one entry of `_flows`, from the
-request until the manager's refusal or the instance's ack.
+request until the manager's refusal or the instance's ack. An instance stays
+in `instances` exactly while the agent regards it as running: a graceful
+exit, a hard kill or a detected death removes it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class LocalInstance:
     handle: object            # process handle: .alive / .kill()
     channel: object | None = None
     health: int = wire.OK
-    state: str = "running"    # running | killed | exited
 
     @property
     def key(self) -> tuple[str, int]:
@@ -136,12 +137,11 @@ class Agent:
         return self.alive and bool(self._pending_health or self._flows)
 
     def mark_dead(self) -> None:
+        """The node died, and its instances with it."""
         self.alive = False
         for t in self._timers:
             t.cancel()
-        for li in self.instances.values():
-            if li.handle is not None and li.handle.alive:
-                li.handle.kill()
+        self.instances.clear()
 
     # -- registration ---------------------------------------------------------
 
@@ -179,9 +179,13 @@ class Agent:
 
     # -- channels from runtimes -----------------------------------------------
 
+    def _running(self, li: LocalInstance) -> bool:
+        return self.instances.get(li.key) is li
+
     def _on_runtime_connect(self, channel, info) -> None:
-        key = (info.meta.get("service", ""), int(info.meta.get("instance", 0)))
-        li = self.instances.get(key)
+        iid = info.meta.get("instance", "")
+        li = (self.instances.get((info.meta.get("service", ""), int(iid)))
+              if iid.isdecimal() else None)
         if li is None:
             channel.close()
             return
@@ -192,11 +196,10 @@ class Agent:
     def _on_runtime_close(self, li: LocalInstance, channel) -> None:
         if li.channel is channel:
             li.channel = None
-            if li.state == "running" and not li.handle.alive:
+            if self._running(li) and not li.handle.alive:
                 # Unexpected death: tell the control plane now rather than
                 # waiting for the next poll to find the corpse.
-                li.state = "exited"
-                self._report_health(li, wire.INTERNAL_ERROR)
+                self._lost(li)
 
     # -- messages from Manager --------------------------------------------
 
@@ -255,9 +258,8 @@ class Agent:
 
     def _forward_to_instance(self, msg: Message) -> None:
         li = self._target_of(msg)
-        delivered = (li is not None and li.state == "running"
-                     and send_message(li.channel,
-                                      rewrite_for_relay(msg, self.node_addr)))
+        delivered = li is not None and send_message(
+            li.channel, rewrite_for_relay(msg, self.node_addr))
         if not delivered:
             # Dead or missing instance: answer for it so the flow resolves.
             mt, sub = self._FAILURE_RESPONSE[msg.msg_type]
@@ -283,7 +285,7 @@ class Agent:
             return
         if msg.msg_type is MT.GRACEFUL_SHUTDOWN_RESPONSE \
                 and wire.is_success(msg.status):
-            li.state = "exited"
+            self.instances.pop(li.key, None)
         self._to_manager(rewrite_for_relay(msg, self.node_addr))
         if msg.msg_type is MT.SESSION_ACK:
             flow = self._flows.get(msg.message_id)
@@ -317,7 +319,7 @@ class Agent:
         held = self._held_requests.get(mid)
         while held:
             li, msg = held.popleft()
-            if li.state == "running" and li.handle.alive:
+            if self._running(li) and li.handle.alive:
                 self._start_session_flow(li, msg)
                 return
         self._held_requests.pop(mid, None)
@@ -365,11 +367,11 @@ class Agent:
     def handle_hard_shutdown_request(self, msg: Message) -> None:
         key = (msg.get("service_name"), msg.get_int("service_instance_id"))
         li = self.instances.get(key)
-        if li is None or li.state != "running" or not li.handle.alive:
+        if li is None or not li.handle.alive:
             status = wire.NOT_FOUND
         else:
             li.handle.kill()
-            li.state = "killed"
+            del self.instances[key]
             status = wire.OK
         self._to_manager(wire.make_message(
             MT.HARD_SHUTDOWN_RESPONSE, msg.message_id, ST.AGENT_TO_MANAGER,
@@ -381,11 +383,8 @@ class Agent:
         if not self.alive or not self.registered:
             return
         for li in list(self.instances.values()):
-            if li.state != "running":
-                continue
             if not li.handle.alive or li.channel is None or not li.channel.is_open:
-                li.state = "exited"
-                self._report_health(li, wire.INTERNAL_ERROR)
+                self._lost(li)
                 continue
             mid = self._ids.next()
             sent = send_message(li.channel, wire.make_message(
@@ -393,8 +392,7 @@ class Agent:
                 service_name=li.service_name,
                 service_instance_id=li.instance_id))
             if not sent:
-                li.state = "exited"
-                self._report_health(li, wire.INTERNAL_ERROR)
+                self._lost(li)
                 continue
             timer = self.env.schedule(
                 self.config.instance_timeout_ms,
@@ -416,6 +414,12 @@ class Agent:
         li.health = msg.status
         if msg.status != wire.OK:
             self._to_manager(rewrite_for_relay(msg, self.node_addr))
+
+    def _lost(self, li: LocalInstance) -> None:
+        """A running instance found dead: it leaves the table, and the
+        control plane hears of it now."""
+        del self.instances[li.key]
+        self._report_health(li, wire.INTERNAL_ERROR)
 
     def _report_health(self, li: LocalInstance, status: int) -> None:
         li.health = status

@@ -37,6 +37,8 @@ class Cluster:
                                manager_config or ManagerConfig(),
                                journal_sink=journal_sink)
         self.agents: dict[str, Agent] = {}
+        # Every runtime ever spawned, by (service, instance id): the live
+        # ones are those in their agents' tables.
         self.runtimes: dict[tuple[str, int], ServiceRuntime] = {}
         agent_config = agent_config or AgentConfig()
         for node in nodes:
@@ -113,7 +115,9 @@ class Cluster:
         return self.runtimes[(service, instance_id)]
 
     def live_runtimes(self) -> list[ServiceRuntime]:
-        return [rt for rt in self.runtimes.values() if rt.state == "running"]
+        """The runtimes that their agents regard as running."""
+        return [li.handle for agent in self.agents.values()
+                for li in agent.instances.values()]
 
     def has_pending(self) -> bool:
         return (self.manager.has_pending()

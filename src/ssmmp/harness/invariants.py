@@ -84,8 +84,6 @@ def check_conservation(manager: Manager, cluster, net) -> Verdict:
 def check_port_exclusivity(manager: Manager, cluster) -> Verdict:
     seen: dict[tuple[str, int], str] = {}
     for inst in manager.instances.values():
-        if inst.state is InstanceState.CLOSED:
-            continue
         for port in inst.socket_ports.values():
             key = (inst.node_address, port)
             if key in seen:
@@ -118,7 +116,7 @@ def check_isolation(manager: Manager) -> Verdict:
         if agent.status is not AgentStatus.ISOLATED:
             continue
         for inst in manager.instances.values():
-            if inst.node_address == addr and inst.state is not InstanceState.CLOSED:
+            if inst.node_address == addr:
                 return Verdict(False, "isolation_completeness",
                                f"{inst.canonical_name} still open on {addr}")
         for s in manager.sessions:

@@ -144,8 +144,9 @@ def manager_snapshot(manager) -> list[str]:
         rec = manager.agents[addr]
         lines.append(f"agent {addr} status={rec.status.value} "
                      f"repo={wire.format_name_list(rec.repository)}")
-    for key in sorted(manager.instances):
-        inst = manager.instances[key]
+    instances = {**manager.closed_instances, **manager.instances}
+    for key in sorted(instances):
+        inst = instances[key]
         sockets = wire.format_pair_list(sorted(inst.socket_ports.items()))
         plugs = wire.format_pair_list(sorted(inst.plug_config.items()))
         lines.append(

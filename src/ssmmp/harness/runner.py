@@ -276,6 +276,12 @@ def _session_row_complete(sess) -> bool:
                 sess.session_port)))
 
 
+def _instance_record(manager, args: tuple[str, ...]):
+    """The live or closed record of instance (args[0], args[1]), or None."""
+    key = (args[0], int(args[1]))
+    return manager.instances.get(key) or manager.closed_instances.get(key)
+
+
 def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
                      ) -> tuple[bool, str]:
     manager = ctx.manager
@@ -299,7 +305,7 @@ def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
         n = len(manager.dns.targets(args[0]))
         return n == int(args[1]), f"got {n}"
     if check == "instance_state":
-        inst = manager.instances.get((args[0], int(args[1])))
+        inst = _instance_record(manager, args)
         if inst is None:
             return False, "unknown instance"
         return inst.state.value == args[2], f"state={inst.state.value}"
@@ -317,7 +323,7 @@ def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
         want = (args[0], args[1], int(args[2]))
         return want in ctx.open_failures, f"failures={ctx.open_failures}"
     if check == "reap_window":
-        inst = manager.instances.get((args[0], int(args[1])))
+        inst = _instance_record(manager, args)
         if inst is None:
             return False, "unknown instance"
         if inst.state is not InstanceState.CLOSED:

@@ -6,6 +6,9 @@ session close, graceful or hard shutdown) waits in `_pending` under its
 message id, behind one send path, one timeout handler and one response path.
 Flows that need a remote step first (spawning a destination instance,
 draining sessions before a graceful shutdown) resume when it resolves.
+`instances` holds the instances that have not ended (starting, running or
+draining); `_mark_instance_closed` moves a record to `closed_instances`, the
+history that only the report reads.
 """
 
 from __future__ import annotations
@@ -204,6 +207,21 @@ _JOURNAL_NAMES = {
     "shutdown": ("shutdown request", "shutdown response"),
 }
 
+# message type -> the handler that takes it from a registered agent, by name,
+# so that a tracer wrapping a handler on the class sees every call
+_HANDLERS = {
+    MT.EXECUTION_RESPONSE: "handle_response",
+    MT.SESSION_REQUEST: "handle_session_request",
+    MT.SESSION_ACK: "handle_session_ack",
+    MT.SOURCE_SESSION_CLOSE_INFO: "handle_close_info",
+    MT.DEST_SESSION_CLOSE_INFO: "handle_close_info",
+    MT.SOURCE_SESSION_CLOSE_RESPONSE: "handle_close_response",
+    MT.DEST_SESSION_CLOSE_RESPONSE: "handle_close_response",
+    MT.GRACEFUL_SHUTDOWN_RESPONSE: "handle_response",
+    MT.HARD_SHUTDOWN_RESPONSE: "handle_response",
+    MT.HEALTH_CONTROL_RESPONSE: "handle_health_response",
+}
+
 _RESPONSE_KIND = {
     MT.EXECUTION_RESPONSE: "exec",
     MT.SOURCE_SESSION_CLOSE_RESPONSE: "close",
@@ -222,7 +240,9 @@ class Manager:
         self.journal_sink = journal_sink
         self.knowledge_base: list[AbstractGraph] = list(graphs)
         self.agents: dict[str, AgentRecord] = {}
+        # Live instances; a record leaves only through _mark_instance_closed.
         self.instances: dict[tuple[str, int], InstanceRecord] = {}
+        self.closed_instances: dict[tuple[str, int], InstanceRecord] = {}
         # Every established record, in order; closed ones stay for the report.
         self.sessions: list[SessionRecord] = []
         # The open ones among them, in the same order: by key, and by each
@@ -323,22 +343,11 @@ class Manager:
         if addr is None:
             self._log(f"message from unregistered channel dropped: {msg.msg_type.value}")
             return
-        handler = {
-            MT.EXECUTION_RESPONSE: self.handle_response,
-            MT.SESSION_REQUEST: self.handle_session_request,
-            MT.SESSION_ACK: self.handle_session_ack,
-            MT.SOURCE_SESSION_CLOSE_INFO: self.handle_close_info,
-            MT.DEST_SESSION_CLOSE_INFO: self.handle_close_info,
-            MT.SOURCE_SESSION_CLOSE_RESPONSE: self.handle_close_response,
-            MT.DEST_SESSION_CLOSE_RESPONSE: self.handle_close_response,
-            MT.GRACEFUL_SHUTDOWN_RESPONSE: self.handle_response,
-            MT.HARD_SHUTDOWN_RESPONSE: self.handle_response,
-            MT.HEALTH_CONTROL_RESPONSE: self.handle_health_response,
-        }.get(msg.msg_type)
-        if handler is None:
+        name = _HANDLERS.get(msg.msg_type)
+        if name is None:
             self._log(f"unexpected message type {msg.msg_type.value} from {addr}")
             return
-        handler(addr, msg)
+        getattr(self, name)(addr, msg)
 
     # -- registration ---------------------------------------------------------
 
@@ -372,12 +381,9 @@ class Manager:
             return None
 
         def load(a: AgentRecord) -> tuple[int, str]:
-            running = sum(1 for r in self.instances.values()
-                          if r.node_address == a.node_address
-                          and r.state in (InstanceState.STARTING,
-                                          InstanceState.RUNNING,
-                                          InstanceState.DRAINING))
-            return (running, a.node_address)
+            live = sum(1 for r in self.instances.values()
+                       if r.node_address == a.node_address)
+            return (live, a.node_address)
 
         return min(capable, key=load).node_address
 
@@ -391,9 +397,7 @@ class Manager:
             return None
         spec = g.service(service)
         if spec.kind is ServiceKind.BAAS:
-            existing = [r for r in self.instances.values()
-                        if r.service == service and r.state is not InstanceState.CLOSED]
-            if existing:
+            if any(r.service == service for r in self.instances.values()):
                 self._log(f"execute: baas {service} already has an instance")
                 return None
         node = self._select_node(service, preferred_node)
@@ -494,7 +498,9 @@ class Manager:
         else:
             self._log(f"execution of {record.canonical_name} failed: {status}")
             self._free_instance_ports(record)
-            del self.instances[record.key]
+            # Isolation may already have closed it while it was starting.
+            self.instances.pop(record.key, None)
+            self.closed_instances.pop(record.key, None)
         for agent_addr, parked in pending.parked:
             if wire.is_success(status):
                 self.handle_session_request(agent_addr, parked)
@@ -789,6 +795,8 @@ class Manager:
         if instance.state is InstanceState.CLOSED:
             return
         instance.state = InstanceState.CLOSED
+        del self.instances[instance.key]
+        self.closed_instances[instance.key] = instance
         self._free_instance_ports(instance)
         if instance.is_gateway:
             self.dns.remove_instance(instance.service, instance.canonical_name)
@@ -821,9 +829,9 @@ class Manager:
         for k in drop:
             self._log(f"pending session {k} dropped by isolation")
             self._pending_sessions.pop(k)[1].cancel()
-        for inst in self.instances.values():
-            if inst.node_address == addr and inst.state is not InstanceState.CLOSED:
-                self._mark_instance_closed(inst, "node_isolated")
+        for inst in [i for i in self.instances.values()
+                     if i.node_address == addr]:
+            self._mark_instance_closed(inst, "node_isolated")
         for kind in ("exec", "shutdown", "close"):
             for mid in [m for m, p in self._pending.items()
                         if p.kind == kind and p.agent == addr]:
@@ -835,7 +843,7 @@ class Manager:
         instance = self.instances.get(
             (msg.get("service_name"), msg.get_int("service_instance_id")))
         status = msg.status
-        if instance is None or instance.state is InstanceState.CLOSED:
+        if instance is None:
             self._log(f"health report for unknown instance: {status}")
             return
         self._log(f"abnormal health {status} for {instance.canonical_name}")

@@ -7,7 +7,7 @@ from conftest import make_cluster, sweep_scenarios
 
 from ssmmp.harness import invariants
 from ssmmp.harness.runner import run_scenario
-from ssmmp.manager import SessionRecord, SessionState
+from ssmmp.manager import InstanceState, SessionRecord, SessionState
 from ssmmp.transport import Channel, Endpoint
 
 
@@ -17,7 +17,12 @@ def _scanned_open(manager):
 
 def _check_indices(manager, net, channels):
     """Every index against a scan of `manager.sessions` and of every channel
-    ever created."""
+    ever created; the live instance table against the closed one."""
+    assert all(inst.state is not InstanceState.CLOSED
+               for inst in manager.instances.values())
+    assert all(inst.state is InstanceState.CLOSED
+               for inst in manager.closed_instances.values())
+    assert not manager.instances.keys() & manager.closed_instances.keys()
     open_ = _scanned_open(manager)
     assert list(manager._open_sessions.values()) == open_
     for inst in manager.instances.values():

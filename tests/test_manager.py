@@ -487,9 +487,9 @@ def test_isolate_node_post_state_table_scan(fig1_graph):
     net.run(until_ms=net.now_ms() + 100)
     # oracle: full table scan
     assert manager.agents["fd00::a2"].status is AgentStatus.ISOLATED
-    for inst in manager.instances.values():
-        if inst.node_address == "fd00::a2":
-            assert inst.state is InstanceState.CLOSED
+    assert all(inst.node_address != "fd00::a2"
+               for inst in manager.instances.values())
+    assert manager.closed_instances[("A", 2)].state is InstanceState.CLOSED
     for s in manager.sessions:
         assert not (s.state is not SessionState.CLOSED
                     and s.touches_node("fd00::a2"))
@@ -506,6 +506,29 @@ def test_broken_link_detected_on_next_use(fig1_graph):
     manager.execute_instance("B")  # first send over the dead link
     net.run(until_ms=net.now_ms() + 50)
     assert manager.agents["fd00::a2"].status is AgentStatus.ISOLATED
+    assert ("B", 1) not in manager.instances
+
+
+def test_session_request_from_closed_instance_is_not_found(fig1_graph):
+    """Isolation closes A.1 at the manager; its runtime outlives it, and
+    once the agent has registered again its requests are answered 404."""
+    net, cluster = make_cluster(
+        fig1_graph, [("fd00::a1", ["A"]), ("fd00::a2", ["B"])])
+    manager = cluster.manager
+    manager.start_app()
+    net.run(until_ms=net.now_ms() + 30)
+    manager.isolate_node("fd00::a1")
+    net.run(until_ms=net.now_ms() + 1_500)
+    assert manager.agents["fd00::a1"].status is AgentStatus.UP
+    assert ("A", 1) not in manager.instances
+    assert manager.closed_instances[("A", 1)].state is InstanceState.CLOSED
+    failures = []
+    cluster.runtime("A", 1).open_session(
+        "P", on_failed=lambda _rt, plug, status: failures.append(
+            (plug, status)))
+    net.run(until_ms=net.now_ms() + 50)
+    assert failures == [("P", wire.NOT_FOUND)]
+    assert manager.sessions == []
     assert ("B", 1) not in manager.instances
 
 
@@ -597,7 +620,7 @@ def test_faulty_health_report_triggers_hard_shutdown(fig1_graph):
     _drive_session(net, cluster, "A", 1, "P")
     cluster.runtime("B", 1).behavior.faulted = True
     net.run(until_ms=net.now_ms() + 8000)
-    assert manager.instances[("B", 1)].state is InstanceState.CLOSED
+    assert manager.closed_instances[("B", 1)].state is InstanceState.CLOSED
     assert cluster.runtime("B", 1).state == "killed"
     assert all(s.state is SessionState.CLOSED for s in manager.sessions)
 

@@ -245,6 +245,32 @@ def test_malformed_preamble_closes_the_connection(acceptor, preamble):
     assert accepted == []
 
 
+@pytest.mark.parametrize("instance", ["x", "9"])
+def test_agent_closes_control_channel_naming_no_instance(fig1, instance):
+    """A control connection whose preamble names no instance of the agent,
+    by a non-numeric id or an unknown one, is closed without a loop error."""
+    cluster = build_tcp_cluster([fig1], "fd00::1",
+                                [NodeDef("fd00::a1", ["A", "B"])])
+    fabric = cluster.fabric
+    try:
+        assert _wait(lambda: all(a.registered
+                                 for a in cluster.agents.values()))
+        agent = cluster.agents["fd00::a1"]
+        with socket.create_connection(
+                (fabric.ip("fd00::a1"), agent.config.agent_port),
+                timeout=5) as raw:
+            raw.sendall(f"connect instance={instance} service=A\n".encode())
+            received = b""
+            while chunk := raw.recv(64):
+                received += chunk
+        assert received.startswith(b"session ")
+        assert received.count(b"\n") == 1
+        assert [e for loop in fabric._loops for e in loop.errors] == []
+        assert fabric._io.errors == []
+    finally:
+        cluster.shutdown()
+
+
 def test_silent_connector_is_closed_after_preamble_timeout(acceptor):
     fabric, accepted = acceptor
     t0 = time.monotonic()

@@ -1,4 +1,5 @@
-"""Compare the per-layer call counts of two traced benchmark result sets.
+"""Compare the per-layer call counts and journal lines of two traced
+benchmark result sets.
 
     python3 perfbench/run.py --workload all --trace 1 --seconds 0 --seed 1 --out BASE_DIR
     python3 perfbench/run.py --workload all --trace 1 --seconds 0 --seed 1 --out NEW_DIR
@@ -7,7 +8,8 @@
 Run the first command in the parent's checkout and the second in the
 change's. For `scenario_mix`, `hold_ramp` and `open_close_churn`, every
 `*.calls`, `*_per_send` and `messages_per_*` metric of each result file
-(`all_metrics`) must be equal in both directories. Each difference, and each
+(`all_metrics`), and `manager.log_entries`, the manager's journal lines per
+session, must be equal in both directories. Each difference, and each
 result file present in only one of them, is printed, and the exit status is
 then 1. `tcp_pairs` is left out: its counts follow wall-clock timing.
 """
@@ -23,7 +25,7 @@ WORKLOADS = ("scenario_mix", "hold_ramp", "open_close_churn")
 
 def counted(name: str) -> bool:
     return (name.endswith(".calls") or name.endswith("_per_send")
-            or ".messages_per_" in name)
+            or ".messages_per_" in name or name == "manager.log_entries")
 
 
 def counts(path: Path) -> dict[str, object]:
