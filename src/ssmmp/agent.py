@@ -34,7 +34,7 @@ class RepositoryEntry:
 class LocalInstance:
     service_name: str
     instance_id: int
-    handle: object            # process handle: .alive / .kill()
+    handle: object            # process handle: .alive / .kill() / .env
     channel: object | None = None
     health: int = wire.OK
 
@@ -67,6 +67,8 @@ class SpawnError(Exception):
     pass
 
 
+_check_agent_address = wire.FIELD_CHECKS["agent_network_address"]
+
 # Relay rewrite map: (type, inbound sub_type) -> outbound sub_type.
 _RELAY = {
     (MT.SESSION_REQUEST, ST.SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
@@ -88,13 +90,17 @@ def rewrite_for_relay(msg: Message, agent_address: str) -> Message:
     """Sub_type rewritten per template pair; other fields copied verbatim.
 
     The upstream session_request template carries the agent's address as its
-    first field; everything else is preserved exactly.
+    first field; everything else is preserved exactly. Both templates of a
+    pair hold the same fields, so a relay of a checked message is checked
+    too, once the address it adds passes its check.
     """
     out_sub = _RELAY[(msg.msg_type, msg.sub_type)]
     fields = msg.fields
+    checked = msg.checked
     if msg.msg_type is MT.SESSION_REQUEST and msg.sub_type is ST.SERVICE_TO_AGENT:
         fields = (("agent_network_address", agent_address),) + fields
-    return Message(msg.msg_type, msg.message_id, out_sub, fields)
+        checked = checked and _check_agent_address(agent_address) is None
+    return Message(msg.msg_type, msg.message_id, out_sub, fields, checked)
 
 
 class Agent:
@@ -370,7 +376,7 @@ class Agent:
         if li is None or not li.handle.alive:
             status = wire.NOT_FOUND
         else:
-            li.handle.kill()
+            li.handle.env.call(li.handle.kill)
             del self.instances[key]
             status = wire.OK
         self._to_manager(wire.make_message(

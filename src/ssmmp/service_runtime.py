@@ -347,9 +347,8 @@ class ServiceRuntime:
         mt, sub = ((MT.SOURCE_SESSION_CLOSE_INFO, ST.SOURCE_SERVICE_TO_AGENT)
                    if handle.role == "source"
                    else (MT.DEST_SESSION_CLOSE_INFO, ST.DEST_SERVICE_TO_AGENT))
-        self._send_control(Message(
-            mt, self._ids.next(), sub,
-            tuple((k, str(v)) for k, v in handle.params.items())))
+        self._send_control(wire.make_message(
+            mt, self._ids.next(), sub, **handle.params))
 
     def handle_close_request(self, msg: Message) -> None:
         role = ("source" if msg.msg_type is MT.SOURCE_SESSION_CLOSE_REQUEST

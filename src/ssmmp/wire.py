@@ -8,6 +8,15 @@ fixed per (type, sub_type) template: same names, same order, nothing extra.
 Framing: LF line endings, UTF-8, one empty line terminates a message. Shared
 request/response/ack chains reuse one message_id; identifiers are generated
 per originator by a monotonic counter starting at 1.
+
+Each template is compiled at import into its field names paired with one
+check per field, built from FIELD_KINDS. A message is checked against its
+template once when it is built (`make_message`) and once when it is
+received (`parse_message`); both mark it `checked`, and so does an agent's
+relay of a checked message. `serialize_message` checks only a message built
+by hand, whose `checked` is false. `parse_message` finds the template from
+the wire text of the type and sub_type lines and checks the fields in one
+pass; only a rejected message is diagnosed line by line, to name its fault.
 """
 
 from __future__ import annotations
@@ -15,9 +24,9 @@ from __future__ import annotations
 import functools
 import ipaddress
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 
 class MessageType(Enum):
@@ -97,7 +106,6 @@ TIMEOUT = 504
 # Field syntax
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
-_LINE_RE = re.compile(r"([A-Za-z0-9_.-]+): (.*)\Z")
 
 # line name -> value kind
 FIELD_KINDS = {
@@ -300,12 +308,18 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class Message:
-    """One protocol unit; immutable and safe to share."""
+    """One protocol unit; immutable and safe to share.
+
+    `checked` is true only for a message that was checked against its
+    template when it was built or received; it takes no part in `==`,
+    `hash` or `repr`.
+    """
 
     msg_type: MessageType
     message_id: int
     sub_type: SubType | None = None
     fields: tuple[tuple[str, str], ...] = ()
+    checked: bool = field(default=False, compare=False, repr=False)
 
     def get(self, name: str) -> str:
         for k, v in self.fields:
@@ -334,31 +348,39 @@ def make_message(
 
     Integer values are formatted; list fields must already be formatted text
     (use format_name_list / format_pair_list). Raises InvalidMessage on any
-    missing/extra value or template violation.
+    missing/extra value or template violation; the message returned is
+    `checked`.
     """
-    template = TEMPLATES.get((msg_type, sub_type))
-    if template is None:
+    compiled = _COMPILED.get((msg_type, sub_type))
+    if compiled is None:
         raise InvalidMessage([ValidationIssue(
             "UnknownType", f"no template for ({msg_type.value}, {sub_type})")])
-    given = dict(values)
     fields = []
-    for name in template:
-        if name not in given:
+    issues = []
+    for name, check in compiled.checks:
+        if name not in values:
             raise InvalidMessage([ValidationIssue(
                 "TemplateMismatch", f"missing field {name}")])
-        fields.append((name, str(given.pop(name))))
-    if given:
+        text = str(values.pop(name))
+        issue = check(text)
+        if issue is not None:
+            issues.append(issue)
+        fields.append((name, text))
+    if values:
         raise InvalidMessage([ValidationIssue(
-            "TemplateMismatch", f"extra fields {sorted(given)}")])
-    msg = Message(msg_type, message_id, sub_type, tuple(fields))
-    issues = validate_message(msg)
+            "TemplateMismatch", f"extra fields {sorted(values)}")])
+    if message_id < 1:
+        issues.insert(0, ValidationIssue("FieldRange", "message_id must be positive"))
     if issues:
         raise InvalidMessage(issues)
-    return msg
+    return Message(msg_type, message_id, sub_type, tuple(fields), checked=True)
 
 
 # ---------------------------------------------------------------------------
 # List formats:  (a; b; c)  and  ((x, y); (z, w))
+
+_PAIR_RE = re.compile(r"\(([A-Za-z0-9_.-]+), ([A-Za-z0-9_.-]+)\)\Z")
+
 
 def format_name_list(names: Sequence[str]) -> str:
     for n in names:
@@ -397,7 +419,7 @@ def parse_pair_list(text: str) -> list[tuple[str, str]]:
         return []
     pairs = []
     for part in inner.split("; "):
-        m = re.match(r"\(([A-Za-z0-9_.-]+), ([A-Za-z0-9_.-]+)\)\Z", part)
+        m = _PAIR_RE.match(part)
         if not m:
             raise WireSyntaxError(f"malformed pair {part!r} in {text!r}")
         pairs.append((m.group(1), m.group(2)))
@@ -418,9 +440,14 @@ def parse_plug_config(text: str) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Validation: one check per field name, built at import from FIELD_KINDS
 
 _CANONICAL_INT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
+_POSITIVE_INT_RE = re.compile(r"[1-9][0-9]*\Z")
+_STATUS_RE = re.compile(r"[0-9]{3}\Z")
+
+# A field check returns the value's issue, or None when the value is good.
+FieldCheck = Callable[[str], ValidationIssue | None]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -434,44 +461,95 @@ def _is_address(value: str) -> bool:
     return True
 
 
-def _check_value(kind: str, name: str, value: str) -> ValidationIssue | None:
-    if kind == "token":
+def _token_check(name: str) -> FieldCheck:
+    def check(value: str) -> ValidationIssue | None:
         if not TOKEN_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: bad token {value!r}")
-    elif kind == "id":
+        return None
+    return check
+
+
+def _id_check(name: str) -> FieldCheck:
+    def check(value: str) -> ValidationIssue | None:
         if not _CANONICAL_INT_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: not an integer {value!r}")
-        elif int(value) < 1:
+        if int(value) < 1:
             return ValidationIssue("FieldRange", f"{name}: must be positive")
-    elif kind == "port":
+        return None
+    return check
+
+
+def _port_check(name: str) -> FieldCheck:
+    def check(value: str) -> ValidationIssue | None:
         if not _CANONICAL_INT_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: not an integer {value!r}")
-        elif not 1 <= int(value) <= 65535:
+        if not 1 <= int(value) <= 65535:
             return ValidationIssue("FieldRange", f"{name}: port {value} out of 1-65535")
-    elif kind == "status":
-        if not re.match(r"[0-9]{3}\Z", value):
+        return None
+    return check
+
+
+def _status_check(name: str) -> FieldCheck:
+    def check(value: str) -> ValidationIssue | None:
+        if not _STATUS_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: not a 3-digit code {value!r}")
-        elif not 100 <= int(value) <= 599:
+        if not 100 <= int(value) <= 599:
             return ValidationIssue("FieldRange", f"{name}: code {value} out of 100-599")
-    elif kind == "address":
+        return None
+    return check
+
+
+def _address_check(name: str) -> FieldCheck:
+    def check(value: str) -> ValidationIssue | None:
         if not _is_address(value):
             return ValidationIssue("FieldSyntax", f"{name}: bad address {value!r}")
-    elif kind == "name_list":
-        try:
-            parse_name_list(value)
-        except WireSyntaxError as e:
-            return ValidationIssue("FieldSyntax", f"{name}: {e}")
-    elif kind == "socket_config":
-        try:
-            parse_socket_config(value)
-        except WireSyntaxError as e:
-            return ValidationIssue("FieldSyntax", f"{name}: {e}")
-    elif kind == "plug_config":
-        try:
-            parse_plug_config(value)
-        except WireSyntaxError as e:
-            return ValidationIssue("FieldSyntax", f"{name}: {e}")
-    return None
+        return None
+    return check
+
+
+def _list_check(parse: Callable[[str], object]) -> Callable[[str], FieldCheck]:
+    def make(name: str) -> FieldCheck:
+        def check(value: str) -> ValidationIssue | None:
+            try:
+                parse(value)
+            except WireSyntaxError as e:
+                return ValidationIssue("FieldSyntax", f"{name}: {e}")
+            return None
+        return check
+    return make
+
+
+_CHECK_OF_KIND: dict[str, Callable[[str], FieldCheck]] = {
+    "token": _token_check,
+    "id": _id_check,
+    "port": _port_check,
+    "status": _status_check,
+    "address": _address_check,
+    "name_list": _list_check(parse_name_list),
+    "socket_config": _list_check(parse_socket_config),
+    "plug_config": _list_check(parse_plug_config),
+}
+
+# line name -> the check of its value
+FIELD_CHECKS: dict[str, FieldCheck] = {
+    name: _CHECK_OF_KIND[kind](name) for name, kind in FIELD_KINDS.items()}
+
+
+class _Compiled(NamedTuple):
+    """A template with each field name paired with its check."""
+
+    msg_type: MessageType
+    sub_type: SubType | None
+    checks: tuple[tuple[str, FieldCheck], ...]
+
+
+_COMPILED: dict[tuple[MessageType, SubType | None], _Compiled] = {
+    (t, s): _Compiled(t, s, tuple((name, FIELD_CHECKS[name]) for name in names))
+    for (t, s), names in TEMPLATES.items()}
+
+# (type line text, sub_type line text or None) -> compiled template
+_BY_WIRE_TEXT: dict[tuple[str, str | None], _Compiled] = {
+    (t.value, s.value if s else None): c for (t, s), c in _COMPILED.items()}
 
 
 def validate_message(m: Message) -> list[ValidationIssue]:
@@ -504,10 +582,10 @@ def validate_message(m: Message) -> list[ValidationIssue]:
                 detail.append(f"duplicate {dup}")
             issues.append(ValidationIssue("TemplateMismatch", ", ".join(detail)))
     for name, value in m.fields:
-        kind = FIELD_KINDS.get(name)
-        if kind is None:
+        check = FIELD_CHECKS.get(name)
+        if check is None:
             continue  # already reported as extra
-        issue = _check_value(kind, name, value)
+        issue = check(value)
         if issue:
             issues.append(issue)
     return issues
@@ -517,15 +595,24 @@ def validate_message(m: Message) -> list[ValidationIssue]:
 # Codec
 
 def serialize_message(m: Message) -> bytes:
-    """Lines + one empty terminator line, LF-separated, UTF-8."""
-    issues = validate_message(m)
-    if issues:
-        raise InvalidMessage(issues)
+    """Lines + one empty terminator line, LF-separated, UTF-8.
+
+    A message that is not `checked` is validated first and raises
+    InvalidMessage on any issue.
+    """
+    if not m.checked:
+        issues = validate_message(m)
+        if issues:
+            raise InvalidMessage(issues)
     lines = [f"type: {m.msg_type.value}", f"message_id: {m.message_id}"]
     if m.sub_type is not None:
         lines.append(f"sub_type: {m.sub_type.value}")
-    lines.extend(f"{k}: {v}" for k, v in m.fields)
+    lines += [f"{k}: {v}" for k, v in m.fields]
     return ("\n".join(lines) + "\n\n").encode("utf-8")
+
+
+# Every line name a template uses; each is a token.
+_LINE_NAMES = frozenset(("type", "message_id", "sub_type", *FIELD_KINDS))
 
 
 def _split_lines(data: bytes) -> list[tuple[str, str]]:
@@ -542,10 +629,11 @@ def _split_lines(data: bytes) -> list[tuple[str, str]]:
         raise WireSyntaxError("message has no lines")
     parsed = []
     for raw in body.split("\n"):
-        m = _LINE_RE.match(raw)
-        if not m:
+        # A name is a token, so it holds no ": " and ends at the first one.
+        name, sep, value = raw.partition(": ")
+        if not sep or (name not in _LINE_NAMES and not TOKEN_RE.match(name)):
             raise WireSyntaxError(f"malformed line {raw!r}")
-        parsed.append((m.group(1), m.group(2)))
+        parsed.append((name, value))
     return parsed
 
 
@@ -553,9 +641,32 @@ def parse_message(data: bytes) -> Message:
     """Parse one framed message; inverse of serialize_message.
 
     Raises WireSyntaxError, UnknownTypeError, or TemplateMismatchError;
-    never anything else.
+    never anything else. The message returned is `checked`.
     """
     lines = _split_lines(data)
+    n = len(lines)
+    if n > 2 and lines[2][0] == "sub_type":
+        compiled = _BY_WIRE_TEXT.get((lines[0][1], lines[2][1]))
+        start = 3
+    else:
+        compiled = _BY_WIRE_TEXT.get((lines[0][1], None))
+        start = 2
+    if (compiled is not None and n - start == len(compiled.checks)
+            and lines[0][0] == "type" and lines[1][0] == "message_id"
+            and _POSITIVE_INT_RE.match(lines[1][1])):
+        fields = lines[start:]
+        for (name, value), (want, check) in zip(fields, compiled.checks):
+            if name != want or check(value) is not None:
+                break
+        else:
+            return Message(compiled.msg_type, int(lines[1][1]),
+                           compiled.sub_type, tuple(fields), checked=True)
+    _reject(lines)
+
+
+def _reject(lines: list[tuple[str, str]]) -> NoReturn:
+    """Raise the error that names the first fault of lines that
+    parse_message did not accept."""
     name, value = lines[0]
     if name != "type":
         raise TemplateMismatchError(f"first line must be type, got {name!r}")
@@ -567,7 +678,7 @@ def parse_message(data: bytes) -> Message:
     name, value = lines[1]
     if name != "message_id":
         raise TemplateMismatchError(f"second line must be message_id, got {name!r}")
-    if not _CANONICAL_INT_RE.match(value) or int(value) < 1:
+    if not _POSITIVE_INT_RE.match(value):
         raise WireSyntaxError(f"message_id not a positive integer: {value!r}")
     message_id = int(value)
 
@@ -584,16 +695,14 @@ def parse_message(data: bytes) -> Message:
     elif rest and rest[0][0] == "sub_type":
         raise TemplateMismatchError(f"{msg_type.value} takes no sub_type")
 
-    msg = Message(msg_type, message_id, sub_type, tuple(rest))
-    issues = validate_message(msg)
-    if issues:
-        first = issues[0]
-        if first.code == "TemplateMismatch":
-            raise TemplateMismatchError(str(first))
-        if first.code == "UnknownType":
-            raise UnknownTypeError(str(first))
-        raise WireSyntaxError(str(first))
-    return msg
+    # The header is good, so the fault the fast path met is in the fields.
+    first = validate_message(
+        Message(msg_type, message_id, sub_type, tuple(rest)))[0]
+    if first.code == "TemplateMismatch":
+        raise TemplateMismatchError(str(first))
+    if first.code == "UnknownType":
+        raise UnknownTypeError(str(first))
+    raise WireSyntaxError(str(first))
 
 
 class MessageReader:
@@ -603,14 +712,23 @@ class MessageReader:
         self._buf = b""
 
     def feed(self, data: bytes) -> list[Message]:
-        self._buf += data
+        """The messages completed by `data`. A frame that fails to parse
+        raises, and is dropped with the messages completed before it; the
+        frames after it stay buffered."""
+        buf = self._buf + data
         out = []
-        while True:
-            idx = self._buf.find(b"\n\n")
-            if idx < 0:
-                return out
-            frame, self._buf = self._buf[: idx + 2], self._buf[idx + 2:]
-            out.append(parse_message(frame))
+        start = 0
+        try:
+            while True:
+                idx = buf.find(b"\n\n", start)
+                if idx < 0:
+                    break
+                frame = buf[start:idx + 2]
+                start = idx + 2
+                out.append(parse_message(frame))
+        finally:
+            self._buf = buf[start:]
+        return out
 
 
 class IdCounter:

@@ -5,7 +5,7 @@ import pytest
 from conftest import make_cluster
 
 from ssmmp import wire
-from ssmmp.agent import AgentConfig, rewrite_for_relay
+from ssmmp.agent import _RELAY, AgentConfig, rewrite_for_relay
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -45,6 +45,61 @@ def test_relay_transparency(msg_type, sub_in, sub_out, values):
     assert out.msg_type is msg_type
     assert out.message_id == msg.message_id
     assert _field_multiset(out) == _field_multiset(msg)
+
+
+def test_every_relay_pair_keeps_the_template_fields():
+    """What lets a relay of a checked message stay checked."""
+    for (msg_type, sub_in), sub_out in _RELAY.items():
+        fields_in = wire.TEMPLATES[(msg_type, sub_in)]
+        if msg_type is MT.SESSION_REQUEST:
+            fields_in = ("agent_network_address",) + fields_in
+        assert wire.TEMPLATES[(msg_type, sub_out)] == fields_in
+
+
+def _session_request():
+    return wire.parse_message(wire.serialize_message(wire.make_message(
+        MT.SESSION_REQUEST, 4, ST.SERVICE_TO_AGENT,
+        source_service_name="A", source_service_instance_id=1,
+        source_plug_name="P", dest_service_name="B", dest_socket_name="S")))
+
+
+def test_relay_of_a_checked_message_is_checked():
+    assert rewrite_for_relay(_session_request(), "fd00::a1").checked
+    ack = wire.make_message(MT.SESSION_ACK, 9, ST.SERVICE_TO_AGENT, status=200,
+                            source_plug_port=41000, dest_socket_new_port=20555)
+    assert rewrite_for_relay(ack, "fd00::a1").checked
+    by_hand = wire.Message(ack.msg_type, ack.message_id, ack.sub_type,
+                           ack.fields)
+    assert not rewrite_for_relay(by_hand, "fd00::a1").checked
+
+
+def test_relay_with_a_bad_agent_address_raises_when_serialized():
+    out = rewrite_for_relay(_session_request(), "fd00::zz")
+    assert not out.checked
+    with pytest.raises(wire.InvalidMessage) as info:
+        wire.serialize_message(out)
+    assert str(info.value) == \
+        "FieldSyntax: agent_network_address: bad address 'fd00::zz'"
+
+
+def test_a_session_is_validated_nowhere_after_build_and_receipt(
+        fig1_graph, monkeypatch):
+    """Every message of an open and close is built by make_message or
+    received by parse_message, so none is validated again on its way."""
+    net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A", "B"])])
+    cluster.manager.start_app()
+    net.run(until_ms=net.now_ms() + 30)
+    calls = []
+    monkeypatch.setattr(wire, "validate_message",
+                        lambda m: calls.append(m) or [])
+    rt = cluster.runtime("A", 1)
+    opened = []
+    rt.open_session("P", on_established=lambda _rt, h: opened.append(h))
+    net.run(until_ms=net.now_ms() + 50)
+    rt.close_session(opened[0])
+    net.run(until_ms=net.now_ms() + 50)
+    assert [s.close_reason for s in cluster.manager.sessions] == ["reported"]
+    assert calls == []
 
 
 def _one_node(fig1_graph, repo=("A", "B")):

@@ -15,6 +15,7 @@ from ssmmp.harness.runner import TRACE_CHECKS, run_scenario
 from ssmmp.harness.scenario import load_scenario, parse_scenario_text
 from ssmmp.harness.tcp_runner import run_scenario_tcp
 from ssmmp.manager import SessionState
+from ssmmp.service_runtime import ServiceRuntime
 from ssmmp.tcp import PREAMBLE_TIMEOUT_S, TcpFabric, build_tcp_cluster
 from ssmmp.transport import ConnectionRefused, Endpoint
 
@@ -133,6 +134,30 @@ def _open_close_pairs(cluster, pairs: int) -> None:
         record = manager.established_sessions()[0]
         rt._loop.post(lambda: rt.close_session(opened[0]))
         assert _wait(lambda: record.state is SessionState.CLOSED, poll=0.001)
+
+
+def test_hard_shutdown_kills_on_the_runtimes_own_loop(fig1, monkeypatch):
+    killers = []
+    kill = ServiceRuntime.kill
+
+    def recorded_kill(rt):
+        killers.append(threading.current_thread())
+        kill(rt)
+
+    monkeypatch.setattr(ServiceRuntime, "kill", recorded_kill)
+    cluster = _booted_fig1_cluster(fig1)
+    try:
+        manager = cluster.manager
+        rt = cluster.runtimes[("A", 1)]
+        record = manager.running_instances("A")[0]
+        cluster.manager_loop.post(lambda: manager.request_hard_shutdown(record))
+        assert _wait(lambda: rt.state == "killed")
+        assert _wait(lambda: ("A", 1) not in cluster.agents["fd00::a1"].instances)
+        assert killers == [rt._loop._thread]
+        errors = [e for loop in cluster.fabric._loops for e in loop.errors]
+        assert errors == []
+    finally:
+        cluster.shutdown()
 
 
 def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):

@@ -306,3 +306,241 @@ def test_bad_address_is_the_same_issue_every_time(value):
                    (("agent_network_address", "fd00::a1"),
                     ("service_repository", "(A)")))
     assert wire.validate_message(good) == []
+
+
+# -- codec contract -----------------------------------------------------------
+# Each malformed input below hits one rejecting branch of the parser; the
+# exception class and text are pinned, so a faster path cannot change what a
+# peer is told about a bad message.
+
+_ACK = (b"type: session_ack\nmessage_id: 1\nsub_type: service_to_agent\n"
+        b"status: 200\nsource_plug_port: 41000\ndest_socket_new_port: 20555\n\n")
+_INIT = (b"type: initiation_request\nmessage_id: 4\n"
+         b"agent_network_address: fd00::a1\nservice_repository: (A; B)\n\n")
+_EXEC = (b"type: execution_request\nmessage_id: 3\n"
+         b"agent_network_address: fd00::a1\nservice_name: service-1\n"
+         b"service_instance_id: 1\nsocket_configuration: ((S2, 20000))\n"
+         b"plug_configuration: ((P6, service-4); (P7, service-3))\n\n")
+_PLUGS = b"((P6, service-4); (P7, service-3))"
+
+MALFORMED = [
+    ("empty", b"", WireSyntaxError, "empty input"),
+    ("not_utf8", b"type: \xff\n\n", WireSyntaxError,
+     "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 6: "
+     "invalid start byte"),
+    ("unterminated", b"type: initiation_response\nmessage_id: 1\nstatus: 200\n",
+     WireSyntaxError, "message not terminated by an empty line"),
+    ("no_lines", b"\n\n", WireSyntaxError, "message has no lines"),
+    ("malformed_line",
+     b"type: initiation_response\nmessage_id 1\nstatus: 200\n\n",
+     WireSyntaxError, "malformed line 'message_id 1'"),
+    ("malformed_name",
+     b"type: initiation_response\nmessage_id: 1\nsta tus: 200\n\n",
+     WireSyntaxError, "malformed line 'sta tus: 200'"),
+    ("colon_in_name",
+     b"type: initiation_response\nmessage_id: 1\nst:atus: 200\n\n",
+     WireSyntaxError, "malformed line 'st:atus: 200'"),
+    ("first_not_type", b"message_id: 1\ntype: initiation_response\n\n",
+     TemplateMismatchError, "first line must be type, got 'message_id'"),
+    ("unknown_type", b"type: bogus\nmessage_id: 1\n\n",
+     UnknownTypeError, "unknown message type 'bogus'"),
+    ("missing_message_id", b"type: initiation_response\n\n",
+     TemplateMismatchError, "missing message_id line"),
+    ("second_not_message_id",
+     b"type: initiation_response\nstatus: 200\nmessage_id: 1\n\n",
+     TemplateMismatchError, "second line must be message_id, got 'status'"),
+    ("message_id_zero",
+     b"type: initiation_response\nmessage_id: 0\nstatus: 200\n\n",
+     WireSyntaxError, "message_id not a positive integer: '0'"),
+    ("message_id_leading_zero",
+     b"type: initiation_response\nmessage_id: 07\nstatus: 200\n\n",
+     WireSyntaxError, "message_id not a positive integer: '07'"),
+    ("message_id_negative",
+     b"type: initiation_response\nmessage_id: -1\nstatus: 200\n\n",
+     WireSyntaxError, "message_id not a positive integer: '-1'"),
+    ("sub_type_missing", _ACK.replace(b"sub_type: service_to_agent\n", b""),
+     TemplateMismatchError, "session_ack requires a sub_type line"),
+    ("sub_type_missing_no_fields", b"type: session_ack\nmessage_id: 1\n\n",
+     TemplateMismatchError, "session_ack requires a sub_type line"),
+    ("sub_type_illegal", _ACK.replace(b"service_to_agent", b"bogus"),
+     UnknownTypeError, "sub_type 'bogus' not legal for session_ack"),
+    ("sub_type_not_allowed",
+     _ACK.replace(b"service_to_agent", b"Manager_to_agent"),
+     UnknownTypeError, "sub_type 'Manager_to_agent' not legal for session_ack"),
+    ("sub_type_not_taken",
+     b"type: initiation_response\nmessage_id: 1\nsub_type: agent_to_Manager\n"
+     b"status: 200\n\n",
+     TemplateMismatchError, "initiation_response takes no sub_type"),
+    ("wrong_order", _ACK.replace(b"status: 200\nsource_plug_port: 41000",
+                                 b"source_plug_port: 41000\nstatus: 200"),
+     TemplateMismatchError,
+     "TemplateMismatch: field order ('source_plug_port', 'status', "
+     "'dest_socket_new_port') != template ('status', 'source_plug_port', "
+     "'dest_socket_new_port')"),
+    ("missing_field", _ACK.replace(b"source_plug_port: 41000\n", b""),
+     TemplateMismatchError, "TemplateMismatch: missing ['source_plug_port']"),
+    ("extra_field", _ACK.replace(b"\n\n", b"\nextra_line: x\n\n"),
+     TemplateMismatchError, "TemplateMismatch: extra ['extra_line']"),
+    ("duplicate_field",
+     _ACK.replace(b"status: 200\n", b"status: 200\nstatus: 200\n"),
+     TemplateMismatchError, "TemplateMismatch: duplicate ['status']"),
+    ("missing_and_extra", _ACK.replace(b"status: 200\n", b"bogus: 200\n"),
+     TemplateMismatchError,
+     "TemplateMismatch: missing ['status'], extra ['bogus']"),
+    ("mismatch_before_bad_value",
+     _ACK.replace(b"status: 200\nsource_plug_port: 41000",
+                  b"source_plug_port: 0\nstatus: 200"),
+     TemplateMismatchError,
+     "TemplateMismatch: field order ('source_plug_port', 'status', "
+     "'dest_socket_new_port') != template ('status', 'source_plug_port', "
+     "'dest_socket_new_port')"),
+    ("token", _EXEC.replace(b"service_name: service-1", b"service_name: a b"),
+     WireSyntaxError, "FieldSyntax: service_name: bad token 'a b'"),
+    ("token_empty", _EXEC.replace(b"service_name: service-1", b"service_name: "),
+     WireSyntaxError, "FieldSyntax: service_name: bad token ''"),
+    ("id_syntax",
+     _EXEC.replace(b"service_instance_id: 1", b"service_instance_id: x1"),
+     WireSyntaxError, "FieldSyntax: service_instance_id: not an integer 'x1'"),
+    ("id_range",
+     _EXEC.replace(b"service_instance_id: 1", b"service_instance_id: 0"),
+     WireSyntaxError, "FieldRange: service_instance_id: must be positive"),
+    ("port_syntax", _ACK.replace(b"41000", b"041000"), WireSyntaxError,
+     "FieldSyntax: source_plug_port: not an integer '041000'"),
+    ("port_range", _ACK.replace(b"41000", b"65536"), WireSyntaxError,
+     "FieldRange: source_plug_port: port 65536 out of 1-65535"),
+    ("port_zero", _ACK.replace(b"41000", b"0"), WireSyntaxError,
+     "FieldRange: source_plug_port: port 0 out of 1-65535"),
+    ("status_syntax", _ACK.replace(b"status: 200", b"status: 20"),
+     WireSyntaxError, "FieldSyntax: status: not a 3-digit code '20'"),
+    ("status_range", _ACK.replace(b"status: 200", b"status: 700"),
+     WireSyntaxError, "FieldRange: status: code 700 out of 100-599"),
+    ("status_low", _ACK.replace(b"status: 200", b"status: 099"),
+     WireSyntaxError, "FieldRange: status: code 099 out of 100-599"),
+    ("address", _INIT.replace(b"fd00::a1", b"fd00::zz"), WireSyntaxError,
+     "FieldSyntax: agent_network_address: bad address 'fd00::zz'"),
+    ("address_empty", _INIT.replace(b"fd00::a1", b""), WireSyntaxError,
+     "FieldSyntax: agent_network_address: bad address ''"),
+    ("name_list_unparenthesized", _INIT.replace(b"(A; B)", b"A; B"),
+     WireSyntaxError,
+     "FieldSyntax: service_repository: list not parenthesized: 'A; B'"),
+    ("name_list_token", _INIT.replace(b"(A; B)", b"(A; b c)"), WireSyntaxError,
+     "FieldSyntax: service_repository: illegal token 'b c' in list '(A; b c)'"),
+    ("socket_config_pair", _EXEC.replace(b"((S2, 20000))", b"((S2 20000))"),
+     WireSyntaxError, "FieldSyntax: socket_configuration: malformed pair "
+     "'(S2 20000)' in '((S2 20000))'"),
+    ("socket_config_port", _EXEC.replace(b"((S2, 20000))", b"((S2, 70000))"),
+     WireSyntaxError, "FieldSyntax: socket_configuration: port out of range "
+     "in pair (S2, 70000)"),
+    ("socket_config_unparenthesized",
+     _EXEC.replace(b"((S2, 20000))", b"(S2, 20000)"), WireSyntaxError,
+     "FieldSyntax: socket_configuration: malformed pair 'S2, 20000' in "
+     "'(S2, 20000)'"),
+    ("plug_config_pair", _EXEC.replace(_PLUGS, b"((P6 service-4))"),
+     WireSyntaxError, "FieldSyntax: plug_configuration: malformed pair "
+     "'(P6 service-4)' in '((P6 service-4))'"),
+    ("plug_config_unparenthesized", _EXEC.replace(_PLUGS, b"P6"),
+     WireSyntaxError,
+     "FieldSyntax: plug_configuration: pair list not parenthesized: 'P6'"),
+    ("first_bad_value_named",
+     _ACK.replace(b"status: 200", b"status: 2000").replace(b"41000", b"x"),
+     WireSyntaxError, "FieldSyntax: status: not a 3-digit code '2000'"),
+]
+
+
+@pytest.mark.parametrize("data,error,text", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_raises_pinned_error(data, error, text):
+    with pytest.raises(wire.MessageError) as info:
+        wire.parse_message(data)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
+def test_make_message_port_out_of_range_text():
+    with pytest.raises(InvalidMessage) as info:
+        wire.make_message(MT.SESSION_ACK, 1, ST.SERVICE_TO_AGENT, status=200,
+                          source_plug_port=65536, dest_socket_new_port=20555)
+    assert str(info.value) == \
+        "FieldRange: source_plug_port: port 65536 out of 1-65535"
+
+
+def test_make_message_reports_every_issue_in_order():
+    with pytest.raises(InvalidMessage) as info:
+        wire.make_message(MT.SESSION_ACK, 0, ST.SERVICE_TO_AGENT, status=2000,
+                          source_plug_port=65536, dest_socket_new_port=20555)
+    assert str(info.value) == (
+        "FieldRange: message_id must be positive; "
+        "FieldSyntax: status: not a 3-digit code '2000'; "
+        "FieldRange: source_plug_port: port 65536 out of 1-65535")
+    texts = []
+    for kwargs in ({}, {"status": 200, "bogus": 1}):
+        with pytest.raises(InvalidMessage) as info:
+            wire.make_message(MT.INITIATION_RESPONSE, 1, **kwargs)
+        texts.append(str(info.value))
+    with pytest.raises(InvalidMessage) as info:
+        wire.make_message(MT.SESSION_ACK, 1, None, status=200)
+    texts.append(str(info.value))
+    assert texts == ["TemplateMismatch: missing field status",
+                     "TemplateMismatch: extra fields ['bogus']",
+                     "UnknownType: no template for (session_ack, None)"]
+
+
+def test_checked_is_outside_equality_hash_and_repr():
+    fields = (("status", "200"),)
+    built = wire.make_message(MT.INITIATION_RESPONSE, 1, status=200)
+    by_hand = Message(MT.INITIATION_RESPONSE, 1, None, fields)
+    assert built.checked and not by_hand.checked
+    assert built == by_hand
+    assert hash(built) == hash(by_hand)
+    assert repr(built) == repr(by_hand)
+    assert wire.parse_message(wire.serialize_message(by_hand)).checked
+
+
+def test_only_a_hand_built_message_is_validated_when_serialized(monkeypatch):
+    calls = []
+    validate = wire.validate_message
+    monkeypatch.setattr(wire, "validate_message",
+                        lambda m: calls.append(m) or validate(m))
+    built = wire.make_message(MT.SESSION_ACK, 1, ST.SERVICE_TO_AGENT,
+                              status=200, source_plug_port=41000,
+                              dest_socket_new_port=20555)
+    data = wire.serialize_message(built)
+    parsed = wire.parse_message(data)
+    assert wire.serialize_message(parsed) == data
+    assert calls == []
+    by_hand = Message(built.msg_type, 1, built.sub_type, built.fields)
+    assert wire.serialize_message(by_hand) == data
+    assert calls == [by_hand]
+
+
+def _framed(count):
+    msgs = [wire.make_message(MT.SESSION_ACK, i + 1, ST.SERVICE_TO_AGENT,
+                              status=200, source_plug_port=40000 + i,
+                              dest_socket_new_port=20000 + i)
+            for i in range(count)]
+    return msgs, b"".join(wire.serialize_message(m) for m in msgs)
+
+
+def test_reader_gives_the_same_messages_whole_or_byte_by_byte():
+    msgs, data = _framed(500)
+    whole = wire.MessageReader().feed(data)
+    reader = wire.MessageReader()
+    single = []
+    for i in range(len(data)):
+        single.extend(reader.feed(data[i:i + 1]))
+    assert whole == single == msgs
+    assert reader.feed(b"") == []
+
+
+def test_reader_drops_a_bad_frame_with_those_before_it():
+    msgs, data = _framed(3)
+    first, second, third = (wire.serialize_message(m) for m in msgs)
+    reader = wire.MessageReader()
+    with pytest.raises(TemplateMismatchError):
+        reader.feed(first + b"bogus: 1\n\n" + second + third[:10])
+    assert reader.feed(third[10:]) == msgs[1:]
+
+
+def test_known_line_names_are_tokens():
+    # _split_lines skips the token match for these names.
+    assert all(wire.TOKEN_RE.match(name) for name in wire._LINE_NAMES)
