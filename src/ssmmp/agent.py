@@ -147,6 +147,8 @@ class Agent:
         self.alive = False
         for t in self._timers:
             t.cancel()
+        for li in self.instances.values():
+            li.handle.env.call(li.handle.kill)
         self.instances.clear()
 
     # -- registration ---------------------------------------------------------

@@ -98,9 +98,6 @@ class Cluster:
         agent = self.agents.get(addr)
         if agent is not None:
             agent.env.call(agent.mark_dead)
-        for rt in self.runtimes.values():
-            if rt.config.node_addr == addr:
-                rt.env.call(rt.kill)
 
     def shutdown(self) -> None:
         """Stop a fabric that owns threads and sockets (loopback TCP)."""

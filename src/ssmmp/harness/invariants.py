@@ -14,6 +14,7 @@ for record, with the control plane's actual table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .. import wire
@@ -48,31 +49,29 @@ def _record_leak(rec: TraceRecord, msg: Message) -> Verdict | None:
 
 
 def _handle_leak(cluster) -> Verdict:
-    """The same asymmetry for the handles the live runtimes hold."""
+    """The same asymmetry for the open handles the live runtimes hold; a
+    runtime's source side is reported before its dest side."""
     for rt in cluster.live_runtimes():
-        for h in rt.source_handles:
-            if h.role == "source" and "dest_service_instance_id" in h.params:
-                return Verdict(False, "knowledge_asymmetry",
-                               f"source handle of {rt.config.service_name} "
-                               "holds dest id")
-        for h in rt.dest_handles:
-            if h.role == "dest" and (
-                    "source_service_instance_id" in h.params
-                    or "source_service_name" in h.params):
-                return Verdict(False, "knowledge_asymmetry",
-                               f"dest handle of {rt.config.service_name} "
-                               "holds source identity")
+        handles = rt.sessions.values()
+        if any(h.role == "source" and "dest_service_instance_id" in h.params
+               for h in handles):
+            return Verdict(False, "knowledge_asymmetry",
+                           f"source handle of {rt.config.service_name} "
+                           "holds dest id")
+        if any(h.role == "dest" and (
+                "source_service_instance_id" in h.params
+                or "source_service_name" in h.params) for h in handles):
+            return Verdict(False, "knowledge_asymmetry",
+                           f"dest handle of {rt.config.service_name} "
+                           "holds source identity")
     return Verdict(True, "knowledge_asymmetry")
 
 
 def check_conservation(manager: Manager, cluster, net) -> Verdict:
     established = len(manager.established_sessions())
-    source_open = sum(
-        1 for rt in cluster.live_runtimes()
-        for h in rt.source_handles if h.state == "open")
-    dest_open = sum(
-        1 for rt in cluster.live_runtimes()
-        for h in rt.dest_handles if h.state == "open" and h.role == "dest")
+    roles = Counter(h.role for rt in cluster.live_runtimes()
+                    for h in rt.sessions.values())
+    source_open, dest_open = roles["source"], roles["dest"]
     channels = len(net.open_data_channels())
     if established == source_open == dest_open == channels:
         return Verdict(True, "session_conservation", f"n={established}")

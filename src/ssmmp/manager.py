@@ -13,14 +13,13 @@ history that only the report reads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
 from . import wire
 from .graph import AbstractGraph, ServiceKind, outgoing_connections
-from .transport import read_messages, send_message
+from .transport import PortPool, read_messages, send_message
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -141,37 +140,6 @@ class DnsTable:
         name = targets[cursor % len(targets)]
         self._cursors[alias] = cursor + 1
         return self.a_records[name]
-
-
-class PortPool:
-    """Per-node listener ports from 20000 up; freed ports are reused last,
-    oldest first."""
-
-    def __init__(self, start: int = 20000, end: int = 39999):
-        self._next = start
-        self._end = end
-        self._freed: deque[int] = deque()
-        self.allocated: set[int] = set()
-
-    def available(self) -> int:
-        return self._end - self._next + 1 + len(self._freed)
-
-    def alloc(self) -> int | None:
-        """The next free port, or None when every port is in use."""
-        if self._next <= self._end:
-            port = self._next
-            self._next += 1
-        elif self._freed:
-            port = self._freed.popleft()
-        else:
-            return None
-        self.allocated.add(port)
-        return port
-
-    def free(self, port: int) -> None:
-        if port in self.allocated:
-            self.allocated.discard(port)
-            self._freed.append(port)
 
 
 @dataclass

@@ -6,6 +6,10 @@ session holds exactly the parameters it is allowed to know: the source side
 never learns the destination instance id; the destination side never learns
 the source instance id or service name.
 
+The runtime holds its open sessions in one table, keyed by role and the
+session's (m, k, l) ports, so a manager-requested close is one lookup; a
+closed handle leaves the table.
+
 Business logic is a pluggable scripted behavior. The default one answers an
 incoming request by walking its plugs in order (open, send the task on, wait
 for the reply, close) and then replying upstream.
@@ -47,12 +51,8 @@ class SessionHandle:
     role: str                 # source | dest | external
     params: dict[str, object] # exactly the knowledge set for this side
     channel: object
+    key: tuple[str, int, int, int]  # (role, m, k, l): its runtime's table key
     state: str = "open"       # open | closed
-
-    def port_tuple(self) -> tuple[int, int, int]:
-        return (int(self.params["source_plug_port"]),
-                int(self.params["dest_socket_port"]),
-                int(self.params["dest_socket_new_port"]))
 
 
 class FrameReader:
@@ -97,15 +97,17 @@ class ServiceRuntime:
         self.config = config
         self.behavior = behavior
         self.state = "new"      # new | running | exited | killed
-        self.alive = False
-        self.source_handles: list[SessionHandle] = []
-        self.dest_handles: list[SessionHandle] = []
+        # The open sessions, in the order they were made.
+        self.sessions: dict[tuple[str, int, int, int], SessionHandle] = {}
         self.log: list[str] = []
         self._ids = wire.IdCounter()
         self._control = None
         self._listeners: list[object] = []
         self._pending_opens: dict[int, _PendingOpen] = {}
-        self.on_exit: Callable | None = None
+
+    @property
+    def alive(self) -> bool:
+        return self.state == "running"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -124,8 +126,6 @@ class ServiceRuntime:
         read_messages(ch, lambda _ch, msg: self._from_agent(msg),
                       lambda _ch: None)
         self.state = "running"
-        self.alive = True
-        self.behavior.on_started(self)
 
     def has_pending(self) -> bool:
         """A session open awaits the control plane's response."""
@@ -141,17 +141,17 @@ class ServiceRuntime:
     def _exit(self) -> None:
         self.state = "exited"
         self._teardown()
-        if self.on_exit is not None:
-            self.on_exit(self)
 
     def _teardown(self) -> None:
-        self.alive = False
         for listener in self._listeners:
             listener.close()
-        for handle in self.source_handles + self.dest_handles:
-            if handle.state == "open":
-                handle.state = "closed"
-                handle.channel.close()
+        # Source sessions close first, then dest and external ones.
+        handles = sorted(self.sessions.values(),
+                         key=lambda h: h.role != "source")
+        self.sessions.clear()
+        for handle in handles:
+            handle.state = "closed"
+            handle.channel.close()
         if self._control is not None:
             self._control.close()
         for pending in self._pending_opens.values():
@@ -225,8 +225,6 @@ class ServiceRuntime:
         self.log.append(f"open {pending.plug} failed: {status}")
         if pending.on_failed is not None:
             pending.on_failed(self, pending.plug, status)
-        else:
-            self.behavior.on_open_failed(self, pending.plug, status)
 
     def _on_session_response(self, msg: Message) -> None:
         pending = self._pending_opens.pop(msg.message_id, None)
@@ -262,16 +260,14 @@ class ServiceRuntime:
                 "dest_socket_port": k,
                 "dest_socket_new_port": l,
             },
-            channel=channel)
+            channel=channel,
+            key=("source", m, k, l))
         self._attach(handle)
-        self.source_handles.append(handle)
         self._send_control(wire.make_message(
             MT.SESSION_ACK, msg.message_id, ST.SERVICE_TO_AGENT,
             status=wire.OK, source_plug_port=m, dest_socket_new_port=l))
         if pending.on_established is not None:
             pending.on_established(self, handle)
-        else:
-            self.behavior.on_established(self, handle)
 
     # -- accepting sessions ----------------------------------------------
 
@@ -281,32 +277,29 @@ class ServiceRuntime:
                 channel.close()
                 return
             plug = info.meta.get("plug")
-            if plug is None:
-                # Not an SSMMP peer (a user hitting a gateway socket).
-                handle = SessionHandle(role="external", params={}, channel=channel)
-            else:
-                handle = SessionHandle(
-                    role="dest",
-                    params={
-                        "source_service_instance_network_address": info.peer.addr,
-                        "source_plug_name": plug,
-                        "source_plug_port": info.peer.port,
-                        "dest_service_name": self.config.service_name,
-                        "dest_service_instance_network_address": self.config.node_addr,
-                        "dest_service_instance_id": self.config.instance_id,
-                        "dest_socket_name": socket_name,
-                        "dest_socket_port": info.listener_port,
-                        "dest_socket_new_port": info.session_port,
-                    },
-                    channel=channel)
-            self._attach(handle)
-            self.dest_handles.append(handle)
+            # No plug: not an SSMMP peer (a user hitting a gateway socket).
+            role = "external" if plug is None else "dest"
+            params = {} if plug is None else {
+                "source_service_instance_network_address": info.peer.addr,
+                "source_plug_name": plug,
+                "source_plug_port": info.peer.port,
+                "dest_service_name": self.config.service_name,
+                "dest_service_instance_network_address": self.config.node_addr,
+                "dest_service_instance_id": self.config.instance_id,
+                "dest_socket_name": socket_name,
+                "dest_socket_port": info.listener_port,
+                "dest_socket_new_port": info.session_port,
+            }
+            self._attach(SessionHandle(
+                role, params, channel,
+                (role, info.peer.port, info.listener_port, info.session_port)))
 
         return on_accept
 
     # -- data plane ---------------------------------------------------------
 
     def _attach(self, handle: SessionHandle) -> None:
+        self.sessions[handle.key] = handle
         frames = FrameReader()
         handle.channel.set_handlers(
             lambda _ch, data: self._on_channel_data(handle, frames, data),
@@ -340,6 +333,7 @@ class ServiceRuntime:
         if handle.state == "closed":
             return
         handle.state = "closed"
+        del self.sessions[handle.key]
         handle.channel.close()
         self.behavior.on_session_closed(self, handle)
         if handle.role == "external" or suppress_info:
@@ -353,12 +347,9 @@ class ServiceRuntime:
     def handle_close_request(self, msg: Message) -> None:
         role = ("source" if msg.msg_type is MT.SOURCE_SESSION_CLOSE_REQUEST
                 else "dest")
-        want = (msg.get_int("source_plug_port"),
-                msg.get_int("dest_socket_port"),
-                msg.get_int("dest_socket_new_port"))
-        handles = self.source_handles if role == "source" else self.dest_handles
-        match = next((h for h in handles
-                      if h.state == "open" and h.port_tuple() == want), None)
+        match = self.sessions.get((role, msg.get_int("source_plug_port"),
+                                   msg.get_int("dest_socket_port"),
+                                   msg.get_int("dest_socket_new_port")))
         status = wire.ALREADY_CLOSED
         if match is not None:
             self.close_session(match, suppress_info=True)
@@ -372,8 +363,7 @@ class ServiceRuntime:
     # -- shutdown / health ------------------------------------------------
 
     def open_ssmmp_sessions(self) -> list[SessionHandle]:
-        return [h for h in self.source_handles + self.dest_handles
-                if h.state == "open" and h.role != "external"]
+        return [h for h in self.sessions.values() if h.role != "external"]
 
     def handle_graceful_shutdown(self, msg: Message) -> None:
         if self.open_ssmmp_sessions():
@@ -409,13 +399,9 @@ class ServiceRuntime:
 class Behavior:
     """Deterministic event program standing in for real business logic."""
 
-    name = "idle"
     load_threshold = 8
     faulted = False
     mute = False
-
-    def on_started(self, rt: ServiceRuntime) -> None:
-        pass
 
     def on_request(self, rt: ServiceRuntime, handle: SessionHandle,
                    payload: bytes) -> None:
@@ -423,12 +409,6 @@ class Behavior:
 
     def on_reply(self, rt: ServiceRuntime, handle: SessionHandle,
                  payload: bytes) -> None:
-        pass
-
-    def on_established(self, rt: ServiceRuntime, handle: SessionHandle) -> None:
-        pass
-
-    def on_open_failed(self, rt: ServiceRuntime, plug: str, status: int) -> None:
         pass
 
     def on_session_closed(self, rt: ServiceRuntime, handle: SessionHandle) -> None:
@@ -445,8 +425,6 @@ class _Task:
 
 class CascadeBehavior(Behavior):
     """Answer a request by driving each plug in order, then reply upstream."""
-
-    name = "cascade"
 
     def __init__(self) -> None:
         self._tasks: list[_Task] = []

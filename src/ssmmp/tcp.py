@@ -39,7 +39,7 @@ from functools import partial
 from .cluster import Cluster
 from .transport import (EPHEMERAL_END, EPHEMERAL_START, AcceptInfo,
                         ChannelClosed, ChannelEnd, ConnectionRefused,
-                        Endpoint, NodeDown, PortInUse, Timer)
+                        Endpoint, NodeDown, PortInUse, PortPool, Timer)
 
 PREAMBLE_TIMEOUT_S = 2.0
 _RECV_BYTES = 65536
@@ -481,8 +481,7 @@ class TcpFabric:
         self._subnet = f"127.31.{next(_SUBNET_SEQ) % 250}"
         self._addr_to_ip: dict[str, str] = {}
         self._ip_to_addr: dict[str, str] = {}
-        self._session_ports: dict[str, int] = {}  # next never-used port
-        self._freed_session_ports: dict[str, collections.deque[int]] = {}
+        self._session_ports: dict[str, PortPool] = {}
         self._down: set[str] = set()
         self._lock = threading.Lock()
         self._stopped = False
@@ -499,8 +498,7 @@ class TcpFabric:
             ip = f"{self._subnet}.{len(self._addr_to_ip) + 1}"
             self._addr_to_ip[addr] = ip
             self._ip_to_addr[ip] = addr
-            self._session_ports[addr] = EPHEMERAL_START
-            self._freed_session_ports[addr] = collections.deque()
+            self._session_ports[addr] = PortPool(EPHEMERAL_START, EPHEMERAL_END)
 
     def env(self, addr: str, name: str) -> TcpEnv:
         """A node-bound environment on a new ActorLoop thread `name`."""
@@ -525,18 +523,14 @@ class TcpFabric:
         left, then the longest-freed one. Raises ConnectionRefused when
         every port is held by an open channel."""
         with self._lock:
-            port = self._session_ports[addr]
-            if port <= EPHEMERAL_END:
-                self._session_ports[addr] = port + 1
-                return port
-            freed = self._freed_session_ports[addr]
-            if not freed:
-                raise ConnectionRefused(f"session ports exhausted on {addr}")
-            return freed.popleft()
+            port = self._session_ports[addr].alloc()
+        if port is None:
+            raise ConnectionRefused(f"session ports exhausted on {addr}")
+        return port
 
     def free_session_port(self, addr: str, port: int) -> None:
         with self._lock:
-            self._freed_session_ports[addr].append(port)
+            self._session_ports[addr].free(port)
 
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)

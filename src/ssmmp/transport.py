@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from typing import Callable, NamedTuple
 
 from . import wire
@@ -32,6 +33,38 @@ EPHEMERAL_START = 40000
 EPHEMERAL_END = 65535
 _QUEUE_COMPACT_MIN = 64  # below this many entries, never compact the queue
 HOP_LATENCY_MS = 1  # per hop, unless a latency distribution is given
+
+
+class PortPool:
+    """Ports from `start` to `end`: never-used ones first, in rising order,
+    then the longest-freed one. The manager's listener ports and the TCP
+    fabric's session ports each keep one pool per node."""
+
+    def __init__(self, start: int = 20000, end: int = 39999):
+        self._next = start
+        self._end = end
+        self._freed: deque[int] = deque()
+        self.allocated: set[int] = set()
+
+    def available(self) -> int:
+        return self._end - self._next + 1 + len(self._freed)
+
+    def alloc(self) -> int | None:
+        """The next free port, or None when every port is in use."""
+        if self._next <= self._end:
+            port = self._next
+            self._next += 1
+        elif self._freed:
+            port = self._freed.popleft()
+        else:
+            return None
+        self.allocated.add(port)
+        return port
+
+    def free(self, port: int) -> None:
+        if port in self.allocated:
+            self.allocated.discard(port)
+            self._freed.append(port)
 
 
 class Endpoint(NamedTuple):

@@ -284,7 +284,7 @@ def test_criterion_9_tcp_smoke():
                     detail = "session never established"
                 else:
                     session = handle.manager.established_sessions()[0]
-                    src = rt.source_handles[0]
+                    [src] = rt.sessions.values()
                     rt._loop.post(lambda: rt.close_session(src))
                     closed = wait(lambda: all(
                         s.state is SessionState.CLOSED

@@ -272,5 +272,5 @@ def test_runtime_dials_the_agents_configured_port(fig1_graph):
     rt.open_session("P")
     net.run(until_ms=net.now_ms() + 100)
     assert [(h.role, h.params["dest_service_name"])
-            for h in rt.source_handles] == [("source", "B")]
+            for h in rt.sessions.values()] == [("source", "B")]
     assert len(cluster.manager.established_sessions()) == 1

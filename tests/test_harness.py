@@ -153,7 +153,8 @@ def test_injected_port_collision_is_caught(fig1_graph):
 def test_injected_knowledge_leak_is_caught(fig1_graph):
     net, cluster, collector = _run_boot_with_session(fig1_graph)
     rt = cluster.runtime("A", 1)
-    rt.source_handles[0].params["dest_service_instance_id"] = 1
+    [handle] = rt.sessions.values()
+    handle.params["dest_service_instance_id"] = 1
     verdicts = {v.name: v for v in invariants.sweep(
         collector.records, cluster.manager, cluster, net)}
     assert not verdicts["knowledge_asymmetry"].ok

@@ -1,14 +1,20 @@
-"""The manager's session indices and the simulator's port index agree with
-a scan of the state they index, and keep per-open work flat."""
+"""The manager's session indices, the simulator's port index and each
+runtime's session table agree with a scan of the state they index, and keep
+per-open work flat."""
+
+import sys
 
 import pytest
 
 from conftest import make_cluster, sweep_scenarios
 
+from ssmmp import wire
 from ssmmp.harness import invariants
 from ssmmp.harness.runner import run_scenario
 from ssmmp.manager import InstanceState, SessionRecord, SessionState
+from ssmmp.service_runtime import SessionHandle
 from ssmmp.transport import Channel, Endpoint
+from ssmmp.wire import MessageType as MT, SubType as ST
 
 
 def _scanned_open(manager):
@@ -43,6 +49,19 @@ def _check_indices(manager, net, channels):
         assert net.port_in_use(ep.addr, ep.port) == scanned, ep
 
 
+def _check_session_tables(cluster, handles):
+    """Each live runtime's table holds exactly its still-open handles, by
+    key, in the order they were made; an ended runtime's table is empty."""
+    live = cluster.live_runtimes()
+    for rt in live:
+        open_ = [h for owner, h in handles
+                 if owner is rt and h.state == "open"]
+        assert list(rt.sessions.items()) == [(h.key, h) for h in open_]
+    for rt in cluster.runtimes.values():
+        if rt not in live:
+            assert rt.sessions == {}
+
+
 @pytest.mark.parametrize("name,scenario", sweep_scenarios(),
                          ids=[name for name, _ in sweep_scenarios()])
 def test_indices_match_scans_at_every_quiescent_point(name, scenario,
@@ -55,17 +74,28 @@ def test_indices_match_scans_at_every_quiescent_point(name, scenario,
         channels.append(ch)
 
     monkeypatch.setattr(Channel, "__init__", recording_init)
+    handles: list[tuple[object, SessionHandle]] = []
+    made = SessionHandle.__init__
+
+    def recording_handle_init(handle, *args, **kwargs):
+        made(handle, *args, **kwargs)
+        # The runtime method that made the handle is its owner.
+        handles.append((sys._getframe(1).f_locals["self"], handle))
+
+    monkeypatch.setattr(SessionHandle, "__init__", recording_handle_init)
     checked = []
     sweep = invariants.sweep
 
     def checking_sweep(records, manager, cluster, net, **kwargs):
         _check_indices(manager, net, channels)
+        _check_session_tables(cluster, handles)
         checked.append(len(manager.sessions))
         return sweep(records, manager, cluster, net, **kwargs)
 
     monkeypatch.setattr(invariants, "sweep", checking_sweep)
     run_scenario(scenario, seed=7)
     assert checked
+    assert handles
 
 
 def _booted_single_node(fig1_graph):
@@ -138,3 +168,29 @@ def test_churn_past_port_65535_wraps_to_free_ports(fig1_graph):
     ports = [p for s in records for p in (s.plug_port, s.session_port)]
     assert all(40000 <= p <= 65535 for p in ports)
     assert any(p < 65530 for p in ports)  # it wrapped
+
+
+def test_churn_empties_both_session_tables(fig1_graph):
+    net, cluster = _booted_single_node(fig1_graph)
+    for _ in range(2000):
+        _close(net, cluster, _open(net, cluster))
+    a, b = cluster.runtime("A", 1), cluster.runtime("B", 1)
+    assert a.sessions == {} and b.sessions == {}
+
+    sent = []
+    net.on_send = lambda ch, data: (
+        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    handle = _open(net, cluster)
+    session = cluster.manager.established_sessions()[0]
+    cluster.manager.request_session_close(session, "source")
+    net.run(until_ms=net.now_ms() + 50)
+    assert handle.state == "closed"
+    assert a.sessions == {} and b.sessions == {}
+    [request] = [m for m in sent
+                 if m.msg_type is MT.SOURCE_SESSION_CLOSE_REQUEST
+                 and m.sub_type is ST.AGENT_TO_SOURCE_SERVICE]
+    a.handle_close_request(request)  # the same request again
+    statuses = [m.status for m in sent
+                if m.msg_type is MT.SOURCE_SESSION_CLOSE_RESPONSE
+                and m.sub_type is ST.SOURCE_SERVICE_TO_AGENT]
+    assert statuses == [wire.OK, wire.ALREADY_CLOSED]

@@ -1,11 +1,13 @@
 """The manager's, the agents' and the cluster's instance tables hold only
 instances that have not ended, however many have run before; the report
-still lists every instance ever executed."""
+still lists every instance ever executed, and a node's death kills only its
+live runtimes."""
 
 from conftest import make_cluster
 
 from ssmmp.harness.report import manager_snapshot
 from ssmmp.manager import InstanceState
+from ssmmp.service_runtime import ServiceRuntime
 
 CYCLES = 500
 
@@ -67,3 +69,30 @@ def test_tables_hold_only_live_instances_through_churn(fig1_graph):
     assert manager.agents["fd00::a2"].status.value == "isolated"
     assert manager.closed_instances[isolated].state is InstanceState.CLOSED
     _assert_live(cluster, {("A", 1)}, CYCLES + 3)
+
+
+def test_kill_node_kills_each_live_runtime_once(fig1_graph, monkeypatch):
+    net, cluster = make_cluster(
+        fig1_graph, [("fd00::a1", ["A"]), ("fd00::a2", ["B"])],
+        horizon_ms=None)
+    manager = cluster.manager
+    manager.start_app()
+    net.run(until_ms=net.now_ms() + 20)
+    for iid in range(1, CYCLES + 1):
+        manager.execute_instance("B")
+        net.run(until_ms=net.now_ms() + 20)
+        manager.request_graceful_shutdown(manager.instances[("B", iid)])
+        net.run(until_ms=net.now_ms() + 20)
+    manager.execute_instance("B")
+    net.run(until_ms=net.now_ms() + 20)
+    live = cluster.runtime("B", CYCLES + 1)
+    assert len(cluster.runtimes) == CYCLES + 2
+
+    killed = []
+    kill = ServiceRuntime.kill
+    monkeypatch.setattr(ServiceRuntime, "kill",
+                        lambda rt: killed.append(rt) or kill(rt))
+    cluster.kill_node("fd00::a2")
+    assert killed == [live]
+    assert live.state == "killed"
+    assert cluster.runtime("A", 1).state == "running"

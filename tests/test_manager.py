@@ -278,7 +278,8 @@ def test_close_info_resolves_peer_id_from_ports(fig1_graph):
     rt = _drive_session(net, cluster, "A", 1, "P")
     s = manager.established_sessions()[0]
     assert s.dest_instance_id == 1  # learned from the DB, not the message
-    rt.close_session(rt.source_handles[0])
+    [handle] = rt.sessions.values()
+    rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
     assert s.state is SessionState.CLOSED
     # the dest side reported too; its info named no source instance id
@@ -327,12 +328,14 @@ def test_manager_requested_close_source_side(fig1_graph):
     manager = cluster.manager
     _drive_session(net, cluster, "A", 1, "P")
     s = manager.established_sessions()[0]
+    rt = cluster.runtime("A", 1)
+    [handle] = rt.sessions.values()
     manager.request_session_close(s, "source")
     net.run(until_ms=net.now_ms() + 30)
     assert s.state is SessionState.CLOSED
     assert s.close_reason == "requested"
-    rt = cluster.runtime("A", 1)
-    assert all(h.state == "closed" for h in rt.source_handles)
+    assert handle.state == "closed"
+    assert handle.key not in rt.sessions
 
 
 def test_manager_requested_close_dest_side(fig1_graph):
@@ -340,11 +343,13 @@ def test_manager_requested_close_dest_side(fig1_graph):
     manager = cluster.manager
     _drive_session(net, cluster, "A", 1, "P")
     s = manager.established_sessions()[0]
+    rt = cluster.runtime("B", 1)
+    [handle] = rt.sessions.values()
     manager.request_session_close(s, "dest")
     net.run(until_ms=net.now_ms() + 30)
     assert s.state is SessionState.CLOSED
-    rt = cluster.runtime("B", 1)
-    assert all(h.state == "closed" for h in rt.dest_handles)
+    assert handle.state == "closed"
+    assert handle.key not in rt.sessions
 
 
 def test_close_of_closed_session_sends_nothing(fig1_graph):
@@ -352,7 +357,8 @@ def test_close_of_closed_session_sends_nothing(fig1_graph):
     manager = cluster.manager
     rt = _drive_session(net, cluster, "A", 1, "P")
     s = manager.established_sessions()[0]
-    rt.close_session(rt.source_handles[0])
+    [handle] = rt.sessions.values()
+    rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
     assert s.state is SessionState.CLOSED
     assert manager.request_session_close(s, "source") is None
@@ -590,7 +596,8 @@ def test_idle_tick_thresholds(fig1_graph):
     net, cluster = _booted(fig1_graph)
     manager = cluster.manager
     rt = _drive_session(net, cluster, "A", 1, "P")
-    rt.close_session(rt.source_handles[0])
+    [handle] = rt.sessions.values()
+    rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
     inst = manager.instances[("B", 1)]
     closed_at = inst.last_activity

@@ -6,6 +6,7 @@ from conftest import make_cluster
 
 from ssmmp import wire
 from ssmmp.service_runtime import FrameReader, frame
+from ssmmp.transport import Endpoint
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -35,7 +36,7 @@ def test_start_binds_configured_sockets(fig1_graph):
 def test_open_session_knowledge_sets(fig1_graph):
     net, cluster = _booted(fig1_graph)
     rt = _open(net, cluster)
-    src = rt.source_handles[0]
+    [src] = rt.sessions.values()
     assert src.role == "source"
     assert set(src.params) == {
         "source_service_name", "source_service_instance_network_address",
@@ -44,7 +45,7 @@ def test_open_session_knowledge_sets(fig1_graph):
         "dest_socket_name", "dest_socket_port", "dest_socket_new_port"}
     assert "dest_service_instance_id" not in src.params
 
-    dst = cluster.runtime("B", 1).dest_handles[0]
+    [dst] = cluster.runtime("B", 1).sessions.values()
     assert dst.role == "dest"
     assert set(dst.params) == {
         "source_service_instance_network_address", "source_plug_name",
@@ -65,8 +66,8 @@ def test_distinct_session_ports_per_acceptance(fig1_graph):
     rt.open_session("P")
     net.run(until_ms=net.now_ms() + 80)
     dest = cluster.runtime("B", 1)
-    ls = [h.params["dest_socket_new_port"] for h in dest.dest_handles]
-    ks = [h.params["dest_socket_port"] for h in dest.dest_handles]
+    ls = [h.params["dest_socket_new_port"] for h in dest.sessions.values()]
+    ks = [h.params["dest_socket_port"] for h in dest.sessions.values()]
     assert len(ls) == 2 and len(set(ls)) == 2
     assert all(l != k for l, k in zip(ls, ks))
 
@@ -89,7 +90,7 @@ def test_open_failure_status_propagates(fig1_graph):
                     failures.append((plug, status)))
     net.run(until_ms=net.now_ms() + 50)
     assert failures == [("P", wire.NO_BYTECODE)]
-    assert rt.source_handles == []
+    assert rt.sessions == {}
 
 
 def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
@@ -98,7 +99,7 @@ def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
     net.on_send = lambda ch, data: (
         sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
     rt = _open(net, cluster)
-    handle = rt.source_handles[0]
+    [handle] = rt.sessions.values()
     rt.close_session(handle)
     rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
@@ -115,7 +116,8 @@ def test_peer_close_triggers_dest_side_info(fig1_graph):
     net.on_send = lambda ch, data: (
         sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
     rt = _open(net, cluster)
-    rt.close_session(rt.source_handles[0])
+    [handle] = rt.sessions.values()
+    rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
     dest_infos = [m for m in sent if m.msg_type is MT.DEST_SESSION_CLOSE_INFO]
     assert len(dest_infos) == 2  # instance -> agent, agent -> Manager
@@ -126,7 +128,7 @@ def test_peer_close_triggers_dest_side_info(fig1_graph):
 def test_handle_close_request_matches_port_tuple(fig1_graph):
     net, cluster = _booted(fig1_graph)
     rt = _open(net, cluster)
-    handle = rt.source_handles[0]
+    [handle] = rt.sessions.values()
     req = wire.make_message(
         MT.SOURCE_SESSION_CLOSE_REQUEST, 70, ST.AGENT_TO_SOURCE_SERVICE,
         **{k: handle.params[k] for k in (
@@ -139,6 +141,7 @@ def test_handle_close_request_matches_port_tuple(fig1_graph):
     rt._send_control = lambda msg: sent.append(msg) or True
     rt.handle_close_request(req)
     assert handle.state == "closed"
+    assert rt.sessions == {}
     assert sent[-1].msg_type is MT.SOURCE_SESSION_CLOSE_RESPONSE
     assert sent[-1].status == wire.OK
     # a second identical request finds nothing open
@@ -163,13 +166,13 @@ def test_graceful_shutdown_responds_then_exits(fig1_graph):
     rt = cluster.runtime("A", 1)
     order = []
     real_send = rt._send_control
-    rt._send_control = lambda msg: order.append(("send", msg.status)) or \
-        real_send(msg)
-    rt.on_exit = lambda _rt: order.append(("exit", None))
+    rt._send_control = lambda msg: order.append(
+        ("send", msg.status, rt.state)) or real_send(msg)
     rt.handle_graceful_shutdown(wire.make_message(
         MT.GRACEFUL_SHUTDOWN_REQUEST, 81, ST.AGENT_TO_SERVICE_INSTANCE,
         service_name="A", service_instance_id=1))
-    assert order == [("send", wire.OK), ("exit", None)]
+    # the 200 leaves while the runtime still runs; it exits right after
+    assert order == [("send", wire.OK, "running")]
     assert rt.state == "exited"
     # after the 200 no further messages leave the runtime
     assert rt._send_control(wire.make_message(
@@ -242,3 +245,45 @@ def test_ack_follows_every_successful_open(fig1_graph):
             if m.msg_type is MT.SESSION_ACK
             and m.sub_type is ST.SERVICE_TO_AGENT]
     assert requests == acks == [1, 2, 3]
+
+
+def test_kill_closes_source_sessions_first_each_in_creation_order(fig1_graph):
+    """B.1, the middle of A -> B -> service-4, holds dest and source
+    sessions opened interleaved; a kill closes its sources, then its dests."""
+    net, cluster = _booted(fig1_graph, repo=("A", "B", "service-4"))
+    a = cluster.runtime("A", 1)
+    a.open_session("P")
+    net.run(until_ms=net.now_ms() + 50)
+    b = cluster.runtime("B", 1)
+    for opener, plug in ((b, "P4"), (a, "P"), (b, "P5")):
+        opener.open_session(plug)
+        net.run(until_ms=net.now_ms() + 50)
+    assert [h.role for h in b.sessions.values()] == \
+        ["dest", "source", "dest", "source"]
+    closes = []
+    net.on_event = lambda _seq, kind, src, dst, _detail: (
+        closes.append((str(src), str(dst))) if kind == "close" else None)
+    b.kill()
+    assert b.sessions == {}
+    # (local, remote) of each close: the sources, then the dests, each in
+    # the order they were made, then the control connection.
+    assert closes == [
+        ("fd00::a1:40009", "fd00::a1:40010"), ("fd00::a1:40013", "fd00::a1:40014"),
+        ("fd00::a1:40006", "fd00::a1:40005"), ("fd00::a1:40012", "fd00::a1:40011"),
+        ("fd00::a1:40003", "fd00::a1:40004")]
+
+
+def test_external_peer_is_tabled_until_it_closes(fig1_graph):
+    net, cluster = _booted(fig1_graph)
+    a = cluster.runtime("A", 1)
+    net.add_node("fd00::u")
+    ch, _m, _l = net.connect("fd00::u", Endpoint("fd00::a1", 80),
+                             kind="external")
+    net.run(until_ms=net.now_ms() + 10)
+    [handle] = a.sessions.values()
+    assert handle.role == "external" and handle.params == {}
+    assert a.open_ssmmp_sessions() == []
+    ch.close()
+    net.run(until_ms=net.now_ms() + 10)
+    assert handle.state == "closed"
+    assert a.sessions == {}

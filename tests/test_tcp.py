@@ -52,10 +52,12 @@ def test_tcp_end_to_end_session(fig1):
         assert session.session_port >= 40000
         assert session.socket_port == 20000
         dest = handle.runtimes[("B", 1)]
-        assert _wait(lambda: len(dest.dest_handles) == 1)
-        assert dest.dest_handles[0].params["dest_socket_new_port"] == \
+        assert _wait(lambda: len(dest.sessions) == 1)
+        [dest_handle] = dest.sessions.values()
+        assert dest_handle.role == "dest"
+        assert dest_handle.params["dest_socket_new_port"] == \
             session.session_port
-        src_handle = rt.source_handles[0]
+        [src_handle] = rt.sessions.values()
         rt._loop.post(lambda: rt.close_session(src_handle))
         assert _wait(lambda: all(s.state is SessionState.CLOSED
                                  for s in handle.manager.sessions))
@@ -216,9 +218,10 @@ def test_session_ports_of_released_channels_are_reused(fig1):
     try:
         _open_close_pairs(cluster, 1)  # the first session spawns B.1
         control_channels = len(fabric._channels)
-        assert _wait(lambda: len(fabric._freed_session_ports["fd00::a1"]) == 1)
+        pool = fabric._session_ports["fd00::a1"]
+        assert _wait(lambda: len(pool._freed) == 1)
         first_port = cluster.manager.sessions[0].session_port
-        fabric._session_ports["fd00::a1"] = 65534
+        pool._next = 65534
         for _ in range(5):
             _open_close_pairs(cluster, 1)
             # The accepted end is released on the I/O thread, after the

@@ -5,6 +5,9 @@
 The set is seeds 0-199 of the `establish_close` and `mixed` generator
 profiles plus every `fixtures/*.scenario` at seeds 0-9. Two trees give
 the same reports when `diff -r` of their two OUT_DIRs prints nothing.
+`tests/test_report_digest.py` pins the set by one SHA-256 over `runs()`; a
+change that alters reports on purpose updates that digest together with its
+report-version bump.
 """
 
 from __future__ import annotations
