@@ -116,7 +116,6 @@ class Agent:
         self.instances: dict[tuple[str, int], LocalInstance] = {}
         self.registered = False
         self.alive = True
-        self.log: list[str] = []
         self._ids = wire.IdCounter()
         self._manager_ch = None
         self._flows: dict[int, _Flow] = {}
@@ -182,7 +181,7 @@ class Agent:
     def _to_manager(self, msg: Message) -> bool:
         if send_message(self._manager_ch, msg):
             return True
-        self.log.append(f"manager unreachable, dropping {msg.msg_type.value}")
+        self.env.emit("log", f"manager unreachable, dropping {msg.msg_type.value}")
         return False
 
     # -- channels from runtimes -----------------------------------------------
@@ -227,7 +226,7 @@ class Agent:
             if (flow is None or flow.awaiting_ack
                     or not send_message(flow.instance.channel, rewrite_for_relay(
                         msg, self.node_addr))):
-                self.log.append(f"session_response {mid} undeliverable")
+                self.env.emit("log", f"session_response {mid} undeliverable")
                 self._session_flow_done(mid)
             elif wire.is_success(msg.status):
                 flow.awaiting_ack = True  # flow open until the ack passes
@@ -242,7 +241,7 @@ class Agent:
                             MT.GRACEFUL_SHUTDOWN_REQUEST):
             self._forward_to_instance(msg)
             return
-        self.log.append(f"unexpected message from manager: {msg.msg_type.value}")
+        self.env.emit("log", f"unexpected message from manager: {msg.msg_type.value}")
 
     def _target_of(self, msg: Message) -> LocalInstance | None:
         if msg.msg_type is MT.SOURCE_SESSION_CLOSE_REQUEST:
@@ -279,7 +278,8 @@ class Agent:
     def _from_instance(self, li: LocalInstance, msg: Message) -> None:
         key = (msg.msg_type, msg.sub_type)
         if key not in _RELAY:
-            self.log.append(f"unexpected message from {li.key}: {msg.msg_type.value}")
+            self.env.emit("log", f"unexpected message from {li.key}: "
+                                 f"{msg.msg_type.value}")
             return
         if msg.msg_type is MT.HEALTH_CONTROL_RESPONSE:
             self._on_health_response(li, msg)
@@ -365,7 +365,7 @@ class Agent:
             li.handle = self.spawn_fn(service, iid, sockets, plugs, entry.bytecode)
         except SpawnError as e:
             del self.instances[(service, iid)]
-            self.log.append(f"spawn of {service}.{iid} failed: {e}")
+            self.env.emit("log", f"spawn of {service}.{iid} failed: {e}")
             respond(wire.INTERNAL_ERROR)
             return
         respond(wire.EXECUTED)
@@ -412,7 +412,7 @@ class Agent:
         if entry is None:
             return
         li, _timer = entry
-        self.log.append(f"instance {li.key} silent, synthesizing 500")
+        self.env.emit("log", f"instance {li.key} silent, synthesizing 500")
         self._report_health(li, wire.INTERNAL_ERROR)
 
     def _on_health_response(self, li: LocalInstance, msg: Message) -> None:

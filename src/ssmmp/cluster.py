@@ -28,14 +28,12 @@ class Cluster:
     def __init__(self, fabric, graphs: list[AbstractGraph],
                  manager_addr: str, nodes: list[NodeDef],
                  manager_config: ManagerConfig | None = None,
-                 agent_config: AgentConfig | None = None,
-                 journal_sink=None):
+                 agent_config: AgentConfig | None = None):
         self.fabric = fabric
         self.graphs = graphs
         fabric.add_node(manager_addr)
         self.manager = Manager(fabric.env(manager_addr, "manager"), graphs,
-                               manager_config or ManagerConfig(),
-                               journal_sink=journal_sink)
+                               manager_config or ManagerConfig())
         self.agents: dict[str, Agent] = {}
         # Every runtime ever spawned, by (service, instance id): the live
         # ones are those in their agents' tables.

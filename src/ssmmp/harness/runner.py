@@ -8,6 +8,9 @@ one streaming checker over the records appended since the last quiescent
 point. Any violation fails the run. The report is a pure function of
 (scenario, seed), byte for byte.
 
+The `Collector` records each control message as the `Message` its sender
+built, each transport event, and each manager decision.
+
 The event interpreter and the expect checks here are the only ones: the
 loopback-TCP driver in tcp_runner runs them too, over its own fabric.
 """
@@ -35,26 +38,22 @@ TRACE_CHECKS = {"choreography", "replay_matches"}
 
 
 class Collector:
-    """Turns transport activity and control decisions into trace records."""
+    """A simulated run's observer: what it sees becomes trace records."""
 
     def __init__(self, net: SimNetwork):
         self.net = net
         self.records: list[TraceRecord] = []
 
-    def on_send(self, channel, data: bytes) -> None:
-        if channel.kind != "control":
-            return
-        msg = wire.parse_message(data)
+    def on_send(self, channel, msg: wire.Message) -> None:
         self.records.append(TraceRecord(
             self.net._next_seq(), self.net.now_ms(), "msg",
             str(channel.local), str(channel.remote), wire.message_summary(msg),
             _parsed=msg))
 
-    def decision(self, time_ms: int, kind: str, text: str) -> None:
-        if kind != "decision":
-            return
-        self.records.append(TraceRecord(
-            self.net._next_seq(), time_ms, "decision", text=text))
+    def on_emit(self, kind: str, text: str) -> None:
+        if kind == "decision":
+            self.records.append(TraceRecord(
+                self.net._next_seq(), self.net.now_ms(), "decision", text=text))
 
     def on_event(self, seq: int, kind: str, src, dst, detail: str) -> None:
         self.records.append(TraceRecord(
@@ -357,8 +356,7 @@ def scenario_context(scenario: Scenario, fabric, collector=None
                       manager_config=ManagerConfig(
                           manager_port=scenario.manager_port),
                       agent_config=AgentConfig(
-                          manager_port=scenario.manager_port),
-                      journal_sink=collector.decision if collector else None)
+                          manager_port=scenario.manager_port))
     fabric.add_node(USER_NODE)
     return RunContext(scenario, cluster, collector,
                       fabric.env(USER_NODE, "user"),
@@ -374,8 +372,7 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
     collector = Collector(net)
     ctx = scenario_context(scenario, net, collector)
     cluster = ctx.cluster
-    net.on_send = collector.on_send
-    net.on_event = collector.on_event
+    net.observer = collector
     net.horizon_ms = scenario.horizon_ms()
 
     cluster.start()

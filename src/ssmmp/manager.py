@@ -168,11 +168,12 @@ class _Pending:
     timer: object | None = None
 
 
-# kind -> how the journal names its request and its response
-_JOURNAL_NAMES = {
-    "exec": ("execution request", "execution_response"),
-    "close": ("close request", "close_response"),
-    "shutdown": ("shutdown request", "shutdown response"),
+# request kind -> how the journal names the request and its response, and
+# the method that finishes the request once resolved, by name
+_REQUEST_KINDS = {
+    "exec": ("execution request", "execution_response", "_resolve_exec"),
+    "close": ("close request", "close_response", "_resolve_close"),
+    "shutdown": ("shutdown request", "shutdown response", "_resolve_shutdown"),
 }
 
 # message type -> the handler that takes it from a registered agent, by name,
@@ -201,11 +202,9 @@ _RESPONSE_KIND = {
 
 class Manager:
     def __init__(self, env, graphs: Iterable[AbstractGraph],
-                 config: ManagerConfig | None = None,
-                 journal_sink: Callable[[int, str, str], None] | None = None):
+                 config: ManagerConfig | None = None):
         self.env = env
         self.config = config or ManagerConfig()
-        self.journal_sink = journal_sink
         self.knowledge_base: list[AbstractGraph] = list(graphs)
         self.agents: dict[str, AgentRecord] = {}
         # Live instances; a record leaves only through _mark_instance_closed.
@@ -256,14 +255,12 @@ class Manager:
 
     def _log(self, what: str) -> None:
         self.journal.append((self.env.now_ms(), "log", what))
-        if self.journal_sink is not None:
-            self.journal_sink(self.env.now_ms(), "log", what)
+        self.env.emit("log", what)
 
     def _decision(self, kind: str, detail: str) -> None:
         text = f"{kind} {detail}".strip()
         self.journal.append((self.env.now_ms(), "decision", text))
-        if self.journal_sink is not None:
-            self.journal_sink(self.env.now_ms(), "decision", text)
+        self.env.emit("decision", text)
 
     def _pool(self, addr: str) -> PortPool:
         if addr not in self._pools:
@@ -423,7 +420,7 @@ class Manager:
     def _request_timeout(self, mid: int) -> None:
         pending = self._pending.get(mid)
         if pending is not None:
-            self._log(f"{_JOURNAL_NAMES[pending.kind][0]} {mid} timed out")
+            self._log(f"{_REQUEST_KINDS[pending.kind][0]} {mid} timed out")
             self._resolve(mid, wire.TIMEOUT)
             self._probe_agent(pending.agent)
 
@@ -433,7 +430,7 @@ class Manager:
         kind = _RESPONSE_KIND[msg.msg_type]
         pending = self._pending.get(msg.message_id)
         if pending is None or pending.kind != kind:
-            self._log(f"{_JOURNAL_NAMES[kind][1]} with unknown id "
+            self._log(f"{_REQUEST_KINDS[kind][1]} with unknown id "
                       f"{msg.message_id}")
             return
         self._resolve(msg.message_id, msg.status)
@@ -444,9 +441,7 @@ class Manager:
     def _resolve(self, mid: int, status: int) -> None:
         pending = self._pending.pop(mid)
         pending.timer.cancel()
-        resolve = {"exec": self._resolve_exec, "close": self._resolve_close,
-                   "shutdown": self._resolve_shutdown}[pending.kind]
-        resolve(pending, status)
+        getattr(self, _REQUEST_KINDS[pending.kind][2])(pending, status)
 
     def _probe_agent(self, addr: str) -> None:
         ch = self._channels.get(addr)

@@ -62,14 +62,16 @@ class FrameReader:
         self._buf = b""
 
     def feed(self, data: bytes) -> list[bytes]:
-        self._buf += data
+        buf = self._buf + data
         out = []
-        while len(self._buf) >= 4:
-            n = struct.unpack(">I", self._buf[:4])[0]
-            if len(self._buf) < 4 + n:
+        start = 0
+        while len(buf) - start >= 4:
+            end = start + 4 + struct.unpack_from(">I", buf, start)[0]
+            if len(buf) < end:
                 break
-            out.append(self._buf[4: 4 + n])
-            self._buf = self._buf[4 + n:]
+            out.append(buf[start + 4:end])
+            start = end
+        self._buf = buf[start:]
         return out
 
 
@@ -99,7 +101,6 @@ class ServiceRuntime:
         self.state = "new"      # new | running | exited | killed
         # The open sessions, in the order they were made.
         self.sessions: dict[tuple[str, int, int, int], SessionHandle] = {}
-        self.log: list[str] = []
         self._ids = wire.IdCounter()
         self._control = None
         self._listeners: list[object] = []
@@ -177,7 +178,7 @@ class ServiceRuntime:
         elif msg.msg_type is MT.HEALTH_CONTROL_REQUEST:
             self.handle_health_request(msg)
         else:
-            self.log.append(f"unexpected control message {msg.msg_type.value}")
+            self.env.emit("log", f"unexpected control message {msg.msg_type.value}")
 
     # -- opening sessions --------------------------------------------------
 
@@ -222,14 +223,14 @@ class ServiceRuntime:
     def _open_failed(self, pending: _PendingOpen, status: int) -> None:
         if pending.timer is not None:
             pending.timer.cancel()
-        self.log.append(f"open {pending.plug} failed: {status}")
+        self.env.emit("log", f"open {pending.plug} failed: {status}")
         if pending.on_failed is not None:
             pending.on_failed(self, pending.plug, status)
 
     def _on_session_response(self, msg: Message) -> None:
         pending = self._pending_opens.pop(msg.message_id, None)
         if pending is None:
-            self.log.append(f"session_response with unknown id {msg.message_id}")
+            self.env.emit("log", f"session_response with unknown id {msg.message_id}")
             return
         if pending.timer is not None:
             pending.timer.cancel()

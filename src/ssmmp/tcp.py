@@ -273,7 +273,7 @@ class TcpChannel(ChannelEnd):
         self._send_lock = threading.Lock()
         self._session_port = session_port
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, msg=None) -> None:
         if not self._open:
             raise ChannelClosed(str(self.remote))
         try:
@@ -583,6 +583,9 @@ class TcpEnv:
 
     def now_ms(self) -> int:
         return self.fabric.now_ms()
+
+    def emit(self, kind: str, text: str) -> None:
+        """Nothing observes a TCP run yet: diagnostics are dropped."""
 
     def schedule(self, delay_ms, fn, tag="timer") -> Timer:
         return self.fabric._io.call_later(delay_ms / 1000.0, fn, self.loop)

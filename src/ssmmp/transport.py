@@ -17,6 +17,9 @@ Both fabrics' channels are a `ChannelEnd`, which holds the handlers and
 what arrives before them; `Channel` and `tcp.TcpChannel` add only send, close
 and delivery. Every control message leaves through `send_message` and is read
 through `read_messages`, with one `wire.MessageReader` per channel.
+
+A simulated run has at most one observer, `SimNetwork.observer`: it sees
+each sent `Message`, each transport event and each actor's `env.emit`.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def send_message(channel: ChannelEnd | None, msg: Message) -> bool:
     if channel is None or not channel.is_open:
         return False
     try:
-        channel.send(wire.serialize_message(msg))
+        channel.send(wire.serialize_message(msg), msg)
     except ChannelClosed:
         return False
     return True
@@ -184,10 +187,10 @@ class Channel(ChannelEnd):
         self._peer: Channel | None = None
         self._floor = 0
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, msg: Message | None = None) -> None:
         if not self._open:
             raise ChannelClosed(f"{self.local} -> {self.remote}")
-        self._net._send(self, data)
+        self._net._send(self, data, msg)
 
     def close(self) -> None:
         """Close both ends; the peer is notified after one hop of latency."""
@@ -274,11 +277,9 @@ class SimNetwork:
         self._channels: dict[Endpoint, Channel] = {}
         self._broken: set[frozenset[str]] = set()
         self.horizon_ms: int | None = None
-        self.on_send: Callable[[Channel, bytes], None] | None = None
-        # on_event(seq, kind, src, dst, detail) for each connect, accept,
-        # deliver, close and drop; nothing keeps them when it is unset.
-        self.on_event: Callable[
-            [int, str, Endpoint | None, Endpoint | None, str], None] | None = None
+        # None, or the run's Collector: on_send(channel, msg), on_emit(kind,
+        # text), and on_event(seq, kind, src, dst, detail) per net event.
+        self.observer = None
 
     # -- clock & queue ------------------------------------------------------
 
@@ -290,9 +291,9 @@ class SimNetwork:
         return self._seq
 
     def _event(self, kind: str, src, dst, detail: str = "") -> None:
-        seq = self._next_seq()  # with or without a listener: same numbering
-        if self.on_event is not None:
-            self.on_event(seq, kind, src, dst, detail)
+        seq = self._next_seq()  # with or without an observer: same numbering
+        if self.observer is not None:
+            self.observer.on_event(seq, kind, src, dst, detail)
 
     def _push(self, time_ms: int, tie: float, entry) -> None:
         queue = self._queue
@@ -492,9 +493,9 @@ class SimNetwork:
         self._after_channel(near, do_accept)
         return near, m, l
 
-    def _send(self, ch: Channel, data: bytes) -> None:
-        if self.on_send is not None:
-            self.on_send(ch, data)
+    def _send(self, ch: Channel, data: bytes, msg: Message | None) -> None:
+        if msg is not None and self.observer is not None:
+            self.observer.on_send(ch, msg)
         if not self._link_ok(ch.local.addr, ch.remote.addr) \
                 or not self.node_up(ch.remote.addr):
             # Broken path: both ends observe a close instead of a delivery.
@@ -552,6 +553,10 @@ class SimEnv:
 
     def port_in_use(self, port) -> bool:
         return self._net.port_in_use(self.addr, port)
+
+    def emit(self, kind: str, text: str) -> None:
+        if self._net.observer is not None:
+            self._net.observer.on_emit(kind, text)
 
 
 class _QueueEntry:

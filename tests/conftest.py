@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from ssmmp.cluster import Cluster, NodeDef
 from ssmmp.graph import parse_graph_file
 from ssmmp.harness.generator import generate_scenario
+from ssmmp.harness.runner import Collector
 from ssmmp.harness.scenario import load_scenario
 from ssmmp.transport import SimNetwork
 
@@ -30,6 +31,17 @@ def make_cluster(graph, nodes, seed=1, horizon_ms=120_000, **kwargs):
     cluster.start()
     net.run(until_ms=20)
     return net, cluster
+
+
+def observe(net):
+    """Attach a Collector to `net` as its observer, and return it."""
+    net.observer = Collector(net)
+    return net.observer
+
+
+def sent_messages(collector):
+    """The control messages sent while observed, as their senders built them."""
+    return [rec.message() for rec in collector.messages()]
 
 
 def sweep_scenarios():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_cluster
+from conftest import make_cluster, observe, sent_messages
 
 from ssmmp import wire
 from ssmmp.agent import _RELAY, AgentConfig, rewrite_for_relay
@@ -242,14 +242,13 @@ def test_register_retries_until_manager_returns(fig1_graph):
 
 
 def test_agent_forwards_responses_only_after_manager_sent_them(fig1_graph):
-    sent = []
     net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A", "B"])])
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     cluster.manager.start_app()
     net.run(until_ms=net.now_ms() + 30)
     cluster.runtime("A", 1).open_session("P")
     net.run(until_ms=net.now_ms() + 50)
+    sent = sent_messages(collector)
     downward = [m for m in sent if m.msg_type is MT.SESSION_RESPONSE
                 and m.sub_type is ST.AGENT_TO_SERVICE]
     upstream = [m for m in sent if m.msg_type is MT.SESSION_RESPONSE

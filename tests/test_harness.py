@@ -98,10 +98,8 @@ def _run_boot_with_session(fig1_graph, seed=3):
     net = SimNetwork(seed=seed)
     net.horizon_ms = 2000
     collector = Collector(net)
-    cluster = Cluster(net, [sc.graph], "fd00::1", [NodeDef("fd00::a1", ["A", "B"])],
-                      journal_sink=collector.decision)
-    net.on_send = collector.on_send
-    net.on_event = collector.on_event
+    cluster = Cluster(net, [sc.graph], "fd00::1", [NodeDef("fd00::a1", ["A", "B"])])
+    net.observer = collector
     cluster.start()
     net.schedule_abs(50, cluster.manager.start_app)
     net.schedule_abs(

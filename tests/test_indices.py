@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import make_cluster, sweep_scenarios
+from conftest import make_cluster, observe, sent_messages, sweep_scenarios
 
 from ssmmp import wire
 from ssmmp.harness import invariants
@@ -177,20 +177,18 @@ def test_churn_empties_both_session_tables(fig1_graph):
     a, b = cluster.runtime("A", 1), cluster.runtime("B", 1)
     assert a.sessions == {} and b.sessions == {}
 
-    sent = []
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     handle = _open(net, cluster)
     session = cluster.manager.established_sessions()[0]
     cluster.manager.request_session_close(session, "source")
     net.run(until_ms=net.now_ms() + 50)
     assert handle.state == "closed"
     assert a.sessions == {} and b.sessions == {}
-    [request] = [m for m in sent
+    [request] = [m for m in sent_messages(collector)
                  if m.msg_type is MT.SOURCE_SESSION_CLOSE_REQUEST
                  and m.sub_type is ST.AGENT_TO_SOURCE_SERVICE]
     a.handle_close_request(request)  # the same request again
-    statuses = [m.status for m in sent
+    statuses = [m.status for m in sent_messages(collector)
                 if m.msg_type is MT.SOURCE_SESSION_CLOSE_RESPONSE
                 and m.sub_type is ST.SOURCE_SERVICE_TO_AGENT]
     assert statuses == [wire.OK, wire.ALREADY_CLOSED]

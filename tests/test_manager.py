@@ -53,7 +53,7 @@ def test_malformed_repository_answered_400(fig1_graph):
         is_open = True
         kind = "control"
 
-        def send(self, data):
+        def send(self, data, msg=None):
             sent.append(wire.parse_message(data))
 
     bad = Message(MT.INITIATION_REQUEST, 5, None,

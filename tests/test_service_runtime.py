@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_cluster
+from conftest import make_cluster, observe, sent_messages
 
 from ssmmp import wire
 from ssmmp.service_runtime import FrameReader, frame
@@ -75,11 +75,13 @@ def test_distinct_session_ports_per_acceptance(fig1_graph):
 def test_open_unconfigured_plug_is_local_error(fig1_graph):
     net, cluster = _booted(fig1_graph)
     rt = cluster.runtime("A", 1)
-    events = []
-    net.on_event = lambda *event: events.append(event)
+    collector = observe(net)
     with pytest.raises(KeyError):
         rt.open_session("P99")
-    assert events == []  # nothing hit the wire
+    assert collector.records == []  # nothing hit the wire
+    rt.open_session("P")  # while a configured plug's request does
+    assert [m.msg_type for m in sent_messages(collector)] == [
+        MT.SESSION_REQUEST]
 
 
 def test_open_failure_status_propagates(fig1_graph):
@@ -95,15 +97,14 @@ def test_open_failure_status_propagates(fig1_graph):
 
 def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
     net, cluster = _booted(fig1_graph)
-    sent = []
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     rt = _open(net, cluster)
     [handle] = rt.sessions.values()
     rt.close_session(handle)
     rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
-    infos = [m for m in sent if m.msg_type is MT.SOURCE_SESSION_CLOSE_INFO
+    infos = [m for m in sent_messages(collector)
+             if m.msg_type is MT.SOURCE_SESSION_CLOSE_INFO
              and m.sub_type is ST.SOURCE_SERVICE_TO_AGENT]
     assert len(infos) == 1
     assert dict(infos[0].fields)["source_plug_port"] == str(
@@ -112,14 +113,13 @@ def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
 
 def test_peer_close_triggers_dest_side_info(fig1_graph):
     net, cluster = _booted(fig1_graph)
-    sent = []
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     rt = _open(net, cluster)
     [handle] = rt.sessions.values()
     rt.close_session(handle)
     net.run(until_ms=net.now_ms() + 30)
-    dest_infos = [m for m in sent if m.msg_type is MT.DEST_SESSION_CLOSE_INFO]
+    dest_infos = [m for m in sent_messages(collector)
+                  if m.msg_type is MT.DEST_SESSION_CLOSE_INFO]
     assert len(dest_infos) == 2  # instance -> agent, agent -> Manager
     assert {m.sub_type for m in dest_infos} == {
         ST.DEST_SERVICE_TO_AGENT, ST.AGENT_TO_MANAGER}
@@ -205,16 +205,15 @@ def test_health_codes(fig1_graph):
 
 def test_bind_conflict_surfaces_as_execution_500(fig1_graph):
     net, cluster = _booted(fig1_graph)
-    sent = []
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     inst = cluster.manager.instances[("A", 1)]
     # occupy the port the pool will hand to the next B instance
     net.listen("fd00::a1", 20000, lambda ch, info: None)
     # bypass the agent's pre-check by racing: ask the manager directly
     mid = cluster.manager.execute_instance("B")
     net.run(until_ms=net.now_ms() + 30)
-    responses = [m for m in sent if m.msg_type is MT.EXECUTION_RESPONSE]
+    responses = [m for m in sent_messages(collector)
+                 if m.msg_type is MT.EXECUTION_RESPONSE]
     assert responses and responses[-1].status in (wire.CONFLICT,
                                                   wire.INTERNAL_ERROR)
     assert ("B", 1) not in cluster.manager.instances
@@ -228,16 +227,24 @@ def test_frame_reader_roundtrip():
         got.extend(reader.feed(data[i:i + 3]))
     assert got == [b"alpha", b"", b"beta"]
 
+    payloads = [b"frame-%05d" % i * (i % 3) for i in range(16_000)]
+    data = b"".join(frame(p) for p in payloads)
+    assert FrameReader().feed(data) == payloads  # fed whole
+    reader = FrameReader()
+    got = []
+    for i in range(len(data)):  # fed byte by byte
+        got.extend(reader.feed(data[i:i + 1]))
+    assert got == payloads
+
 
 def test_ack_follows_every_successful_open(fig1_graph):
     net, cluster = _booted(fig1_graph)
-    sent = []
-    net.on_send = lambda ch, data: (
-        sent.append(wire.parse_message(data)) if ch.kind == "control" else None)
+    collector = observe(net)
     rt = cluster.runtime("A", 1)
     for _ in range(3):
         rt.open_session("P")
         net.run(until_ms=net.now_ms() + 50)
+    sent = sent_messages(collector)
     requests = [m.message_id for m in sent
                 if m.msg_type is MT.SESSION_REQUEST
                 and m.sub_type is ST.SERVICE_TO_AGENT]
@@ -260,11 +267,12 @@ def test_kill_closes_source_sessions_first_each_in_creation_order(fig1_graph):
         net.run(until_ms=net.now_ms() + 50)
     assert [h.role for h in b.sessions.values()] == \
         ["dest", "source", "dest", "source"]
-    closes = []
-    net.on_event = lambda _seq, kind, src, dst, _detail: (
-        closes.append((str(src), str(dst))) if kind == "close" else None)
+    collector = observe(net)
     b.kill()
     assert b.sessions == {}
+    events = [rec.text.split() for rec in collector.records
+              if rec.kind == "net"]
+    closes = [(e[1], e[3]) for e in events if e[0] == "close"]
     # (local, remote) of each close: the sources, then the dests, each in
     # the order they were made, then the control connection.
     assert closes == [

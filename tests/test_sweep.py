@@ -49,12 +49,15 @@ def test_streaming_sweep_equals_sweep_from_scratch(name, scenario,
     compared = _differential_sweep(monkeypatch)
     report = run_scenario(scenario, seed=7)
     assert len(compared) > 1
-    # The Collector hands each record the Message it parsed from the wire,
-    # so no sweep re-parses a summary; the summary must still say the same.
+    # The Collector hands each record the Message its sender built, so no
+    # sweep re-parses a summary; the summary must still say the same, and
+    # the message must survive the wire unchanged.
     msgs = report.messages()
     assert msgs
     for rec in msgs:
-        assert wire.parse_summary(rec.text) == rec.message()
+        msg = rec.message()
+        assert wire.parse_summary(rec.text) == msg
+        assert wire.parse_message(wire.serialize_message(msg)) == msg
 
 
 def _response_records(records):

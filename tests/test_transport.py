@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import sweep_scenarios
+from conftest import observe, sweep_scenarios
 
 from ssmmp.harness.runner import run_scenario
 from ssmmp.transport import (EPHEMERAL_END, EPHEMERAL_START, ChannelClosed,
@@ -131,20 +131,20 @@ def test_break_link_closes_on_send_and_heals():
 
 def _scripted_run(seed):
     net = _two_nodes(seed)
-    events = []
-    net.on_event = lambda _seq, kind, src, dst, detail: events.append(
-        (kind, str(src), str(dst), detail))
+    collector = observe(net)
     inbox = []
     _echo_listener(net, "fd00::b", 9000, inbox)
     for i in range(3):
         ch, _m, _l = net.connect("fd00::a", Endpoint("fd00::b", 9000))
         ch.send(f"hello-{i}".encode())
     net.run()
-    return events
+    return [rec.render() for rec in collector.records]
 
 
 def test_equal_seeds_equal_traces():
-    assert _scripted_run(5) == _scripted_run(5)
+    trace = _scripted_run(5)
+    assert [line.split()[3] for line in trace].count("deliver") == 3
+    assert trace == _scripted_run(5)
     # a different seed is allowed to differ, but must deliver the same bytes
     assert len(_scripted_run(5)) == len(_scripted_run(6))
 
