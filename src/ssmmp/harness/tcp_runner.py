@@ -7,7 +7,8 @@ posts every change to the actor's loop. Trace-based checks need the
 deterministic trace and are reported as skipped; the manager-only state
 invariants run once, on the manager's loop, after the settle. Agents that do
 not register in time give the failed verdict `registration`, and no event
-runs.
+runs. An exception that any actor's loop or the I/O loop caught fails the
+verdict `loop_errors`.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def _await_registration(cluster, timeout_s: float) -> Verdict | None:
                    f"not registered within {timeout_s}s: {', '.join(missing)}")
 
 
+def _loop_errors(fabric) -> Verdict:
+    """Failed when any loop of the run caught an exception; names up to
+    three of them."""
+    errors = [e for loop in fabric._loops for e in loop.errors]
+    errors += fabric._io.errors
+    if not errors:
+        return Verdict(True, "loop_errors")
+    return Verdict(False, "loop_errors",
+                   f"{len(errors)} caught: " + "; ".join(errors[:3]))
+
+
 def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                      register_timeout_s: float = 5.0) -> TraceReport:
     fabric = TcpFabric()
@@ -80,6 +92,7 @@ def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                 for name in SKIPPED_INVARIANTS]
     finally:
         cluster.shutdown()
+    invariants.append(_loop_errors(fabric))
     report = TraceReport(scenario.name + "+tcp", seed)
     report.expects = ctx.expects
     report.invariants = invariants

@@ -4,20 +4,22 @@
 I/O (`send_message`, `read_messages`) are the simulator's. Every logical
 node address maps to a distinct loopback IP; connections bind their node's
 IP so the peer's logical identity is recoverable. Real TCP does not expose a
-per-session listener port, so the acceptor allocates a logical one and
-announces it in a one-line preamble: from the simulator's ephemeral range,
-40000 up, then the ports of released channels, oldest first. The connector's
-preamble carries the connect metadata the simulated fabric passes natively
-(plug name or instance identity). Either side waits at most
-PREAMBLE_TIMEOUT_S for the other's preamble, and a malformed one closes the
-connection. Runs are wall-clock and excluded from determinism guarantees.
+per-session listener port, so, as in the simulator, connect picks a logical
+one on the destination node: from the simulator's ephemeral range, 40000
+up, then the ports of released channels, oldest first. The connector names
+it in its one-line preamble, beside the connect metadata the simulated
+fabric passes natively (plug name or instance identity), and the acceptor
+sends nothing back. The kernel connect and the preamble send wait at most
+PREAMBLE_TIMEOUT_S, and so does the acceptor for the preamble; a malformed
+one closes the connection. Runs are wall-clock and excluded from
+determinism guarantees.
 
 Threads: each actor owns one ActorLoop thread, and every callback for that
 actor runs there. Each fabric owns one I/O thread, which runs a selector and
 a timer heap. It accepts on every listener, reads the acceptor side of every
 preamble, reads every channel, and fires every timer; what it reads and what
 fires it posts to the owning actor's loop, so per-channel order holds. The
-connector side connects and reads the preamble reply in the calling actor's
+connector side connects and sends its preamble in the calling actor's
 thread, then hands the socket to the I/O thread. Sends are blocking
 `sendall`s from the actor's thread. Every socket has TCP_NODELAY set, so a
 small message leaves at once rather than waiting out Nagle's algorithm
@@ -260,8 +262,9 @@ class _IoLoop:
 class TcpChannel(ChannelEnd):
     """One end of a connection. The I/O thread reads it and posts what it
     reads to the owning actor's loop; `send` writes from the caller's thread.
-    The socket is closed on the I/O thread once either end has closed; an
-    accepted channel then hands its logical session port back to the fabric."""
+    The socket is closed on the I/O thread once either end has closed; the
+    connecting end then hands the logical session port it picked on the
+    peer's node back to the fabric. The accepted end holds no port."""
 
     def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
                  local: Endpoint, remote: Endpoint, kind: str,
@@ -294,13 +297,14 @@ class TcpChannel(ChannelEnd):
 
     def _release(self) -> None:
         """On the I/O thread: stop reading, close, forget the channel, and
-        free its session port (once, though `_drop` may race `close`)."""
+        free the session port it picked (once, though `_drop` may race
+        `close`)."""
         self._fabric._io.unregister(self._sock)
         with self._send_lock:
             self._sock.close()
         port, self._session_port = self._session_port, None
         if port is not None:
-            self._fabric.free_session_port(self.local.addr, port)
+            self._fabric.free_session_port(self.remote.addr, port)
         self._fabric._forget(self._fabric._channels, self)
 
     def _on_readable(self) -> None:
@@ -364,7 +368,7 @@ class _TcpListener:
         peer_ep = Endpoint(fabric.logical(peer[0]), peer[1])
         channel = TcpChannel(fabric, conn, env.loop,
                              Endpoint(env.addr, session_port), peer_ep,
-                             self._kind, session_port)
+                             self._kind)
         fabric._track(fabric._channels, channel)
         info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
         env.loop.post(partial(self._on_accept, channel, info))
@@ -376,7 +380,8 @@ class _TcpListener:
 class _Handshake:
     """The acceptor's side of one connection until its preamble line is in:
     buffered on the I/O thread, and closed when it is malformed or does not
-    arrive within PREAMBLE_TIMEOUT_S."""
+    arrive within PREAMBLE_TIMEOUT_S. Nothing is written back: the session
+    port the line names was picked, and is freed, by the connecting end."""
 
     def __init__(self, listener: _TcpListener, conn: socket.socket, peer):
         self._listener = listener
@@ -400,21 +405,12 @@ class _Handshake:
         self._deadline.cancel()
         self._io.unregister(self._conn)
         line, _, rest = self._buf.partition(b"\n")
-        listener = self._listener
-        fabric, addr = listener._fabric, listener._env.addr
         try:
-            meta = _parse_meta(line.decode())
-            session_port = fabric.alloc_session_port(addr)
+            meta, port = _parse_preamble(line.decode())
         except (ConnectionRefused, UnicodeDecodeError):
             self._conn.close()
             return
-        try:
-            self._conn.sendall(f"session {session_port}\n".encode())
-        except OSError:
-            self._conn.close()
-            fabric.free_session_port(addr, session_port)
-            return
-        listener._accepted(self._conn, self._peer, meta, session_port, rest)
+        self._listener._accepted(self._conn, self._peer, meta, port, rest)
 
     def _fail(self) -> None:
         self._deadline.cancel()
@@ -422,51 +418,23 @@ class _Handshake:
         self._conn.close()
 
 
-def _encode_meta(meta: dict | None) -> bytes:
-    items = " ".join(f"{k}={v}" for k, v in sorted((meta or {}).items()))
-    return f"connect {items}".strip().encode() + b"\n"
+def _encode_meta(meta: dict) -> bytes:
+    items = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    return f"connect {items}\n".encode()
 
 
-def _read_line(sock: socket.socket) -> tuple[str, bytes]:
-    """First LF-terminated line, decoded, and whatever data followed it.
-
-    Raises ConnectionRefused when the peer closes, sends no full line within
-    PREAMBLE_TIMEOUT_S, or sends a line that is not UTF-8.
-    """
-    deadline = time.monotonic() + PREAMBLE_TIMEOUT_S
-    buf = b""
-    try:
-        while b"\n" not in buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ConnectionRefused("preamble timed out")
-            sock.settimeout(remaining)
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise ConnectionRefused("peer closed during preamble")
-            buf += chunk
-        sock.settimeout(None)
-        line, _, rest = buf.partition(b"\n")
-        return line.decode(), rest
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConnectionRefused(f"bad preamble: {e}") from e
-
-
-def _parse_meta(line: str) -> dict[str, str]:
-    """`connect k=v ...` -> {k: v}."""
+def _parse_preamble(line: str) -> tuple[dict[str, str], int]:
+    """`connect k=v ... session=N` -> ({k: v}, N), N a session port."""
     words = line.split()
     if not words or words[0] != "connect" \
             or not all("=" in w for w in words[1:]):
         raise ConnectionRefused(f"bad preamble {line!r}")
-    return dict(w.split("=", 1) for w in words[1:])
-
-
-def _parse_session_port(line: str) -> int:
-    """`session N` -> N."""
-    words = line.split()
-    if len(words) != 2 or words[0] != "session" or not words[1].isdecimal():
-        raise ConnectionRefused(f"bad preamble reply {line!r}")
-    return int(words[1])
+    meta = dict(w.split("=", 1) for w in words[1:])
+    port = meta.pop("session", "")
+    if not (port.isdecimal()
+            and EPHEMERAL_START <= int(port) <= EPHEMERAL_END):
+        raise ConnectionRefused(f"bad session port in {line!r}")
+    return meta, int(port)
 
 
 _SUBNET_SEQ = itertools.count(1)  # next() on it is atomic under the GIL
@@ -627,24 +595,31 @@ class TcpEnv:
         return listener
 
     def connect(self, dst: Endpoint, kind: str = "data", meta=None):
+        """Dial a listener; returns (channel, local port m, peer session port
+        l) once the preamble naming l is sent, without waiting for the peer
+        to read it. A connect or send that takes longer than
+        PREAMBLE_TIMEOUT_S, as to a listener whose accept queue is full, is
+        refused."""
         fabric = self.fabric
         src_ip, dst_ip = fabric.ip(self.addr), fabric.ip(dst.addr)
+        session_port = fabric.alloc_session_port(dst.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.bind((src_ip, 0))
+            sock.settimeout(PREAMBLE_TIMEOUT_S)
             sock.connect((dst_ip, dst.port))
-            sock.sendall(_encode_meta(meta))
-            line, rest = _read_line(sock)
-            session_port = _parse_session_port(line)
-        except (OSError, ConnectionRefused) as e:
+            sock.sendall(_encode_meta({**(meta or {}),
+                                       "session": session_port}))
+            sock.settimeout(None)
+        except OSError as e:
             sock.close()
+            fabric.free_session_port(dst.addr, session_port)
             raise ConnectionRefused(str(dst)) from e
         m = sock.getsockname()[1]
         channel = TcpChannel(fabric, sock, self.loop, Endpoint(self.addr, m),
-                             Endpoint(dst.addr, session_port), kind)
-        if rest:
-            channel._arrive(rest)
+                             Endpoint(dst.addr, session_port), kind,
+                             session_port)
         fabric._track(fabric._channels, channel)
         fabric._io.call_soon(
             lambda: fabric._io.register(sock, channel._on_readable))

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import FIXTURES
 
+import ssmmp.tcp
+from ssmmp.agent import Agent
 from ssmmp.cluster import NodeDef
 from ssmmp.graph import parse_graph_file
 from ssmmp.harness.runner import TRACE_CHECKS, run_scenario
@@ -17,7 +19,7 @@ from ssmmp.harness.tcp_runner import run_scenario_tcp
 from ssmmp.manager import SessionState
 from ssmmp.service_runtime import ServiceRuntime
 from ssmmp.tcp import PREAMBLE_TIMEOUT_S, TcpFabric, build_tcp_cluster
-from ssmmp.transport import ConnectionRefused, Endpoint
+from ssmmp.transport import EPHEMERAL_START, ConnectionRefused, Endpoint
 
 
 def _wait(pred, timeout=8.0, poll=0.02):
@@ -46,8 +48,9 @@ def test_tcp_end_to_end_session(fig1):
         rt._loop.post(lambda: rt.open_session("P"))
         assert _wait(lambda: len(handle.manager.established_sessions()) == 1)
         session = handle.manager.established_sessions()[0]
-        # m is the OS-assigned source port; l was carried by the acceptor's
-        # preamble and is a logical per-session port on the dest node
+        # m is the OS-assigned source port; l was picked by the connector
+        # and named in its preamble: a logical per-session port on the dest
+        # node
         assert 1 <= session.plug_port <= 65535
         assert session.session_port >= 40000
         assert session.socket_port == 20000
@@ -211,8 +214,8 @@ def test_closed_channels_leave_the_fabric(fig1):
 
 
 def test_session_ports_of_released_channels_are_reused(fig1):
-    """Past 65535 the acceptor announces the ports of released channels,
-    oldest first, so opens keep succeeding."""
+    """Past 65535 connect picks the ports of released channels, oldest
+    first, so opens keep succeeding. The connecting end frees its port."""
     cluster = _booted_fig1_cluster(fig1)
     fabric = cluster.fabric
     try:
@@ -224,8 +227,8 @@ def test_session_ports_of_released_channels_are_reused(fig1):
         pool._next = 65534
         for _ in range(5):
             _open_close_pairs(cluster, 1)
-            # The accepted end is released on the I/O thread, after the
-            # manager has seen the close.
+            # The connecting end, which frees the port, is released on the
+            # I/O thread after the manager has seen the close.
             assert _wait(lambda: len(fabric._channels) == control_channels)
         ports = [s.session_port for s in cluster.manager.sessions[1:]]
         assert ports == [65534, 65535, first_port, 65534, 65535]
@@ -262,8 +265,10 @@ def acceptor():
     fabric.shutdown()
 
 
-@pytest.mark.parametrize("preamble", [b"connect foo\n", b"connect \xff=1\n",
-                                      b"hello plug=P\n"])
+@pytest.mark.parametrize("preamble", [
+    b"connect foo\n", b"connect \xff=1\n", b"hello plug=P\n",
+    b"connect plug=P\n", b"connect session=x\n", b"connect session=39999\n",
+    b"connect session=65536\n"])
 def test_malformed_preamble_closes_the_connection(acceptor, preamble):
     fabric, accepted = acceptor
     with socket.create_connection((fabric.ip("fd00::a1"), 7000),
@@ -274,9 +279,18 @@ def test_malformed_preamble_closes_the_connection(acceptor, preamble):
 
 
 @pytest.mark.parametrize("instance", ["x", "9"])
-def test_agent_closes_control_channel_naming_no_instance(fig1, instance):
+def test_agent_closes_control_channel_naming_no_instance(fig1, instance,
+                                                         monkeypatch):
     """A control connection whose preamble names no instance of the agent,
     by a non-numeric id or an unknown one, is closed without a loop error."""
+    accepts = []
+    on_runtime_connect = Agent._on_runtime_connect
+
+    def counted(agent, channel, info):
+        accepts.append(info)
+        on_runtime_connect(agent, channel, info)
+
+    monkeypatch.setattr(Agent, "_on_runtime_connect", counted)
     cluster = build_tcp_cluster([fig1], "fd00::1",
                                 [NodeDef("fd00::a1", ["A", "B"])])
     fabric = cluster.fabric
@@ -284,15 +298,14 @@ def test_agent_closes_control_channel_naming_no_instance(fig1, instance):
         assert _wait(lambda: all(a.registered
                                  for a in cluster.agents.values()))
         agent = cluster.agents["fd00::a1"]
+        port = fabric.alloc_session_port("fd00::a1")
         with socket.create_connection(
                 (fabric.ip("fd00::a1"), agent.config.agent_port),
                 timeout=5) as raw:
-            raw.sendall(f"connect instance={instance} service=A\n".encode())
-            received = b""
-            while chunk := raw.recv(64):
-                received += chunk
-        assert received.startswith(b"session ")
-        assert received.count(b"\n") == 1
+            raw.sendall(f"connect instance={instance} service=A "
+                        f"session={port}\n".encode())
+            assert raw.recv(64) == b""
+        assert len(accepts) == 1
         assert [e for loop in fabric._loops for e in loop.errors] == []
         assert fabric._io.errors == []
     finally:
@@ -391,25 +404,99 @@ def test_timers_from_many_threads_fire_once_unless_cancelled():
         fabric.shutdown()
 
 
-def test_bad_session_reply_refuses_the_connect():
+def test_connect_waits_for_nothing_from_the_acceptor():
+    """Against a listener that accepts nothing and reads nothing, connect
+    returns at once with the session port the pool handed out, and the
+    connecting actor's loop goes on serving posts."""
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
     fabric.add_node("fd00::a2")
     server = socket.create_server((fabric.ip("fd00::a2"), 7000))
+    env = fabric.env("fd00::a1", "connector")
+    done = threading.Event()
+    times = {}
 
-    def reply_garbage():
-        conn, _peer = server.accept()
-        with conn:
-            conn.recv(64)
-            conn.sendall(b"session x\n")
+    def connect_then_post():
+        t0 = time.monotonic()
+        times["result"] = env.connect(Endpoint("fd00::a2", 7000))
+        times["connect"] = time.monotonic() - t0
+        env.call(lambda: (times.update(posted=time.monotonic() - t0),
+                          done.set()))
 
-    replier = threading.Thread(target=reply_garbage)
-    replier.start()
+    try:
+        env.call(connect_then_post)
+        assert done.wait(5)
+        assert times["connect"] < 0.05 and times["posted"] < 0.05, times
+        channel, _m, l = times["result"]
+        assert l == EPHEMERAL_START
+        assert fabric._session_ports["fd00::a2"].allocated == {l}
+        channel.close()
+        assert _wait(lambda: not fabric._session_ports["fd00::a2"].allocated)
+    finally:
+        server.close()
+        fabric.shutdown()
+
+
+def test_connect_to_a_full_accept_queue_is_refused_after_the_timeout(
+        monkeypatch):
+    monkeypatch.setattr(ssmmp.tcp, "PREAMBLE_TIMEOUT_S", 0.3)
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    fabric.add_node("fd00::a2")
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind((fabric.ip("fd00::a2"), 7000))
+    server.listen(0)
+    held = socket.create_connection((fabric.ip("fd00::a2"), 7000), timeout=5)
+    pool = fabric._session_ports["fd00::a2"]
+    available = pool.available()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionRefused):
+            fabric.env("fd00::a1", "connector").connect(
+                Endpoint("fd00::a2", 7000))
+        assert time.monotonic() - t0 < 0.3 + 0.5
+        assert pool.available() == available
+    finally:
+        held.close()
+        server.close()
+        fabric.shutdown()
+
+
+def test_connect_with_no_session_port_left_sends_nothing():
+    """As in the simulator, a destination with no free session port refuses
+    the connect before it is dialled."""
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    fabric.add_node("fd00::a2")
+    server = socket.create_server((fabric.ip("fd00::a2"), 7000))
+    server.setblocking(False)
+    pool = fabric._session_ports["fd00::a2"]
+    while pool.alloc() is not None:
+        pass
     try:
         with pytest.raises(ConnectionRefused):
             fabric.env("fd00::a1", "connector").connect(
                 Endpoint("fd00::a2", 7000))
+        with pytest.raises(BlockingIOError):
+            server.accept()
     finally:
-        replier.join(timeout=5)
         server.close()
         fabric.shutdown()
+
+
+def test_a_loop_exception_fails_the_tcp_run(monkeypatch):
+    raised = []
+    handle_execution_request = Agent.handle_execution_request
+
+    def raise_once(agent, msg):
+        handle_execution_request(agent, msg)
+        if not raised:
+            raised.append(msg)
+            raise RuntimeError("injected exec failure")
+
+    monkeypatch.setattr(Agent, "handle_execution_request", raise_once)
+    report = run_scenario_tcp(load_scenario(FIXTURES / "fig1_boot.scenario"))
+    assert raised
+    [verdict] = [v for v in report.invariants if v.name == "loop_errors"]
+    assert not verdict.ok
+    assert "RuntimeError: injected exec failure" in verdict.detail
