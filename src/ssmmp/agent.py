@@ -354,19 +354,15 @@ class Agent:
                 or {p for p, _ in plugs} != set(entry.plug_names)):
             respond(wire.MALFORMED)
             return
-        for _name, port in sockets:
-            if self.env.port_in_use(port):
-                respond(wire.CONFLICT)
-                return
         iid = msg.get_int("service_instance_id")
         li = LocalInstance(service, iid, handle=None)
         self.instances[(service, iid)] = li
         try:
             li.handle = self.spawn_fn(service, iid, sockets, plugs, entry.bytecode)
-        except SpawnError as e:
+        except SpawnError as e:  # a socket's port is in use
             del self.instances[(service, iid)]
             self.env.emit("log", f"spawn of {service}.{iid} failed: {e}")
-            respond(wire.INTERNAL_ERROR)
+            respond(wire.CONFLICT)
             return
         respond(wire.EXECUTED)
 

@@ -28,8 +28,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .harness.scenario import load_scenario
-    scenario = load_scenario(args.scenario)
+    from .harness.scenario import ScenarioError, load_scenario
+    try:
+        scenario = load_scenario(args.scenario)
+    except (ScenarioError, GraphFileError) as e:
+        print(f"INVALID: {e}")
+        return 1
     if args.tcp:
         from .harness.tcp_runner import run_scenario_tcp
         report = run_scenario_tcp(scenario, args.seed)

@@ -75,7 +75,7 @@ class Cluster:
             env = self.fabric.env(node_addr, f"rt-{service}.{instance_id}")
             rt = ServiceRuntime(env, config, make_behavior(bytecode))
             rt._loop = getattr(env, "loop", None)
-            # Started here, in the agent's exec handler, so that a bind
+            # Bound here, in the agent's exec handler, so that a bind
             # failure reaches the agent as a SpawnError.
             try:
                 rt.start()

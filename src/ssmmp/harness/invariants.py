@@ -255,14 +255,20 @@ class ReplayOracle:
             if key is not None and (wire.is_success(msg.status)
                                     or msg.status == wire.ALREADY_CLOSED):
                 self._close_key(key)
-        elif mt is MT.HARD_SHUTDOWN_REQUEST:
+        elif mt in (MT.HARD_SHUTDOWN_REQUEST, MT.GRACEFUL_SHUTDOWN_REQUEST) \
+                and msg.sub_type is ST.MANAGER_TO_AGENT:
             self._pending_close[-msg.message_id] = (
-                "hard", msg.get("service_name"), msg.get_int("service_instance_id"))
+                msg.get("service_name"), msg.get_int("service_instance_id"))
+        elif mt is MT.GRACEFUL_SHUTDOWN_RESPONSE \
+                and msg.sub_type is ST.AGENT_TO_MANAGER:
+            entry = self._pending_close.pop(-msg.message_id, None)
+            if entry is not None and wire.is_success(msg.status):
+                self.instances.pop(entry, None)
         elif mt is MT.HARD_SHUTDOWN_RESPONSE:
             entry = self._pending_close.pop(-msg.message_id, None)
             if entry is None:
                 return
-            _tag, service, iid = entry
+            service, iid = entry
             if wire.is_success(msg.status) or msg.status == wire.NOT_FOUND:
                 self.instances.pop((service, iid), None)
                 self._close_where(lambda sess: (service, iid) in (

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from ..cluster import NodeDef
 from ..graph import AbstractGraph, parse_graph_file
+from ..service_runtime import BEHAVIORS
 
 EVENT_KINDS = {
     "user_request", "open_session", "close_session", "exec_instance",
@@ -135,6 +136,9 @@ def parse_scenario_text(text: str, name: str = "inline",
                 if key == "repo":
                     repo = [s for s in value.split(",") if s]
                 elif key == "behavior":
+                    if value not in BEHAVIORS:
+                        raise ScenarioError(
+                            f"line {line_no}: unknown behavior {value!r}")
                     behavior = value
                 else:
                     raise ScenarioError(f"line {line_no}: unknown node attr {key}")

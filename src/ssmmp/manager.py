@@ -150,9 +150,6 @@ class ManagerConfig:
     port_pool_start: int = 20_000
     # hook(service_name, status) for 429 reports; policy left pluggable
     scale_hook: Callable[[str, int], None] | None = None
-    # destination choice among running instances; None = least open sessions,
-    # ties to the lowest (node address, instance id)
-    selection_policy: Callable[[list, Callable], object] | None = None
 
 
 @dataclass
@@ -523,12 +520,9 @@ class Manager:
             self._pending[exec_mid].parked.append((source_addr, msg))
             return
 
-        if self.config.selection_policy is not None:
-            dest = self.config.selection_policy(running,
-                                                self.open_session_count)
-        else:
-            dest = min(running, key=lambda r: (self.open_session_count(r),
-                                               r.node_address, r.instance_id))
+        # The least-loaded instance; ties go to the lowest (node, id).
+        dest = min(running, key=lambda r: (self.open_session_count(r),
+                                           r.node_address, r.instance_id))
         k = dest.socket_ports[s]
         record = SessionRecord(
             source_service_name=a, source_address=source_addr,

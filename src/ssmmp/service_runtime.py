@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import wire
 from .transport import (ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
-                        read_messages, send_message)
+                        TransportError, read_messages, send_message)
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -113,11 +113,20 @@ class ServiceRuntime:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Bind sockets, connect to the agent; raises on bind failure."""
-        for socket_name, port in self.config.socket_ports:
-            listener = self.env.listen(
-                port, self._make_acceptor(socket_name, port), kind="data")
-            self._listeners.append(listener)
+        """Bind every socket, here, then dial the agent on the runtime's own
+        loop. A failed bind closes the listeners already bound and raises."""
+        try:
+            for socket_name, port in self.config.socket_ports:
+                self._listeners.append(self.env.listen(
+                    port, self._make_acceptor(socket_name, port), kind="data"))
+        except TransportError:
+            for listener in self._listeners:
+                listener.close()
+            raise
+        self.state = "running"
+        self.env.call(self._dial_agent)
+
+    def _dial_agent(self) -> None:
         ch, _m, _l = self.env.connect(
             Endpoint(self.config.node_addr, self.config.agent_port),
             kind="control",
@@ -126,7 +135,6 @@ class ServiceRuntime:
         self._control = ch
         read_messages(ch, lambda _ch, msg: self._from_agent(msg),
                       lambda _ch: None)
-        self.state = "running"
 
     def has_pending(self) -> bool:
         """A session open awaits the control plane's response."""

@@ -562,23 +562,11 @@ class TcpEnv:
         period_s = period_ms / 1000.0
         return self.fabric._io.call_later(period_s, fn, self.loop, period_s)
 
-    def port_in_use(self, port: int) -> bool:
-        # Bind as listen() does: a port that only a closed connection's
-        # TIME_WAIT still holds is free to listen on.
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            probe.bind((self.fabric.ip(self.addr), port))
-            return False
-        except OSError:
-            return True
-        finally:
-            probe.close()
-
     def listen(self, port: int, on_accept, kind: str = "data"):
         fabric = self.fabric
         ip = fabric.ip(self.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # A port that only a closed connection's TIME_WAIT holds is free.
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             sock.bind((ip, port))

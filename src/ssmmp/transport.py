@@ -551,9 +551,6 @@ class SimEnv:
     def connect(self, dst: Endpoint, kind="data", meta=None):
         return self._net.connect(self.addr, dst, kind=kind, meta=meta)
 
-    def port_in_use(self, port) -> bool:
-        return self._net.port_in_use(self.addr, port)
-
     def emit(self, kind: str, text: str) -> None:
         if self._net.observer is not None:
             self._net.observer.on_emit(kind, text)

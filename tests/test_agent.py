@@ -2,10 +2,11 @@
 
 import pytest
 
-from conftest import make_cluster, observe, sent_messages
+from conftest import FIXTURES, make_cluster, observe, sent_messages
 
 from ssmmp import wire
 from ssmmp.agent import _RELAY, AgentConfig, rewrite_for_relay
+from ssmmp.graph import parse_graph_file
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -146,7 +147,7 @@ def test_execution_statuses(fig1_graph):
     assert sent[-1].status == wire.CONFLICT
 
 
-def test_execution_bind_race_reports_500(fig1_graph):
+def test_execution_bind_race_reports_409(fig1_graph):
     net, cluster, agent = _one_node(fig1_graph)
     sent = _capture_upward(agent)
     real_spawn = agent.spawn_fn
@@ -157,8 +158,30 @@ def test_execution_bind_race_reports_500(fig1_graph):
 
     agent.spawn_fn = racing_spawn
     agent.handle_execution_request(_exec_request(20, iid=5))
-    assert sent[-1].status == wire.INTERNAL_ERROR
+    assert sent[-1].status == wire.CONFLICT
     assert ("B", 5) not in agent.instances
+    assert ("B", 5) not in cluster.runtimes
+
+
+def test_failed_bind_of_a_later_socket_leaves_nothing_bound():
+    graph = parse_graph_file((FIXTURES / "fig1_full.graph").read_text())
+    net, cluster, agent = _one_node(graph, repo=("service-4",))
+    sent = _capture_upward(agent)
+    real_spawn = agent.spawn_fn
+
+    def racing_spawn(service, iid, sockets, plugs, bytecode):
+        net.listen("fd00::a1", sockets[1][1], lambda ch, info: None)
+        return real_spawn(service, iid, sockets, plugs, bytecode)
+
+    agent.spawn_fn = racing_spawn
+    agent.handle_execution_request(_exec_request(
+        21, service="service-4", sockets="((S4, 20000); (S5, 20001); "
+        "(S6, 20002))", plugs="((P10, BaaS-2))"))
+    assert sent[-1].status == wire.CONFLICT
+    assert not net.port_in_use("fd00::a1", 20000)
+    assert not net.port_in_use("fd00::a1", 20002)
+    assert ("service-4", 1) not in agent.instances
+    assert ("service-4", 1) not in cluster.runtimes
 
 
 def test_hard_shutdown_kills_and_404s(fig1_graph):

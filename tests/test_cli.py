@@ -60,3 +60,14 @@ def test_run_failing_expectation_exits_nonzero(tmp_path, capsys):
         "at 100 expect instance_running B 5\n")
     assert main(["run", str(scenario), "--seed", "1"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_run_of_an_invalid_scenario_prints_one_line(tmp_path, capsys):
+    scenario = tmp_path / "bogus.scenario"
+    scenario.write_text(
+        f"graph {FIXTURES / 'fig1.graph'}\n"
+        "manager fd00::1\n"
+        "node fd00::a1 repo=A,B behavior=bogus\n")
+    assert main(["run", str(scenario), "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["INVALID: line 3: unknown behavior 'bogus'"]

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_cluster, observe
 
 from ssmmp import wire
+from ssmmp.graph import parse_graph_file
 from ssmmp.harness import invariants
 from ssmmp.harness.conformance import check_conformance, golden_messages
 from ssmmp.harness.generator import generate_scenario
@@ -15,6 +16,7 @@ from ssmmp.harness.runner import Collector, run_scenario
 from ssmmp.harness.scenario import (ScenarioError, load_scenario,
                                     parse_scenario_text)
 from ssmmp.manager import SessionRecord, SessionState
+from ssmmp.transport import PortPool
 
 
 def test_scenario_parse_and_render():
@@ -36,6 +38,10 @@ def test_scenario_rejects_bad_input(fig1_graph):
         parse_scenarios_out_of_order(fig1_graph)
     with pytest.raises(ScenarioError):
         parse_scenario_text("manager fd00::1\nnode fd00::a1 repo=GHOST\n",
+                            graph=fig1_graph)
+    with pytest.raises(ScenarioError, match="unknown behavior 'bogus'"):
+        parse_scenario_text("manager fd00::1\n"
+                            "node fd00::a1 repo=A behavior=bogus\n",
                             graph=fig1_graph)
 
 
@@ -178,6 +184,29 @@ def test_replay_oracle_reconstructs_from_messages_alone(fig1_graph):
         s.source_service_name, s.source_instance_id, s.plug_name,
         s.dest_service_name, s.dest_instance_id, s.socket_name)
     assert (row.m, row.k, row.l) == (s.plug_port, s.socket_port, s.session_port)
+
+
+def test_replay_oracle_forgets_an_instance_that_exited_gracefully():
+    """B.1 exits gracefully and B.2 gets its listener port again: the
+    session that A.1 then opens goes to B.2."""
+    graph = parse_graph_file((FIXTURES / "fig1_full.graph").read_text())
+    net, cluster = make_cluster(graph, [("fd00::a1", ["A", "B"])])
+    collector = observe(net)
+    manager = cluster.manager
+    manager._pools["fd00::a1"] = PortPool(20000, 20000)
+    manager.start_app()
+    manager.execute_instance("B")
+    net.run(until_ms=net.now_ms() + 30)
+    manager.request_graceful_shutdown(manager.instances[("B", 1)])
+    net.run(until_ms=net.now_ms() + 30)
+    manager.execute_instance("B")
+    net.run(until_ms=net.now_ms() + 30)
+    assert manager.instances[("B", 2)].socket_ports == {"S": 20000}
+    cluster.runtime("A", 1).open_session("P")
+    net.run(until_ms=net.now_ms() + 50)
+    assert [s.dest_instance_id for s in manager.established_sessions()] == [2]
+    verdicts = invariants.sweep(collector.records, manager, cluster, net)
+    assert all(v.ok for v in verdicts), [v.render() for v in verdicts]
 
 
 # -- conformance and generator -------------------------------------------------

@@ -220,23 +220,6 @@ def test_session_least_loaded_selection_matches_oracle(fig1_graph):
     assert loads[expected] == min(loads.values())
 
 
-def test_selection_policy_is_pluggable(fig1_graph):
-    from ssmmp.manager import ManagerConfig
-    # pick the HIGHEST instance id instead of the least-loaded default
-    policy = lambda running, load: max(running, key=lambda r: r.instance_id)
-    net, cluster = make_cluster(
-        fig1_graph, [("fd00::a1", ["A", "B"])],
-        manager_config=ManagerConfig(selection_policy=policy))
-    manager = cluster.manager
-    manager.start_app()
-    net.run(until_ms=net.now_ms() + 20)
-    manager.execute_instance("B")
-    manager.execute_instance("B")
-    net.run(until_ms=net.now_ms() + 20)
-    _drive_session(net, cluster, "A", 1, "P")
-    assert manager.established_sessions()[0].dest_instance_id == 2
-
-
 def test_session_ack_fills_ports_and_duplicate_is_noop(fig1_graph):
     net, cluster = _booted(fig1_graph)
     manager = cluster.manager

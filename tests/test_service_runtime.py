@@ -203,19 +203,16 @@ def test_health_codes(fig1_graph):
     assert len(sent) == n  # a wedged instance answers nothing
 
 
-def test_bind_conflict_surfaces_as_execution_500(fig1_graph):
+def test_bind_conflict_surfaces_as_execution_409(fig1_graph):
     net, cluster = _booted(fig1_graph)
     collector = observe(net)
-    inst = cluster.manager.instances[("A", 1)]
     # occupy the port the pool will hand to the next B instance
     net.listen("fd00::a1", 20000, lambda ch, info: None)
-    # bypass the agent's pre-check by racing: ask the manager directly
-    mid = cluster.manager.execute_instance("B")
+    cluster.manager.execute_instance("B")
     net.run(until_ms=net.now_ms() + 30)
     responses = [m for m in sent_messages(collector)
                  if m.msg_type is MT.EXECUTION_RESPONSE]
-    assert responses and responses[-1].status in (wire.CONFLICT,
-                                                  wire.INTERNAL_ERROR)
+    assert responses and responses[-1].status == wire.CONFLICT
     assert ("B", 1) not in cluster.manager.instances
 
 

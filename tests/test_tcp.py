@@ -10,16 +10,19 @@ import pytest
 from conftest import FIXTURES
 
 import ssmmp.tcp
+from ssmmp import wire
 from ssmmp.agent import Agent
 from ssmmp.cluster import NodeDef
 from ssmmp.graph import parse_graph_file
 from ssmmp.harness.runner import TRACE_CHECKS, run_scenario
 from ssmmp.harness.scenario import load_scenario, parse_scenario_text
 from ssmmp.harness.tcp_runner import run_scenario_tcp
-from ssmmp.manager import SessionState
+from ssmmp.manager import Manager, SessionState
 from ssmmp.service_runtime import ServiceRuntime
-from ssmmp.tcp import PREAMBLE_TIMEOUT_S, TcpFabric, build_tcp_cluster
+from ssmmp.tcp import (PREAMBLE_TIMEOUT_S, TcpEnv, TcpFabric,
+                       build_tcp_cluster)
 from ssmmp.transport import EPHEMERAL_START, ConnectionRefused, Endpoint
+from ssmmp.wire import MessageType as MT
 
 
 def _wait(pred, timeout=8.0, poll=0.02):
@@ -164,6 +167,61 @@ def test_hard_shutdown_kills_on_the_runtimes_own_loop(fig1, monkeypatch):
     finally:
         cluster.shutdown()
 
+
+
+def test_each_runtime_dials_its_agent_from_its_own_loop(fig1, monkeypatch):
+    dials = []
+    connect = TcpEnv.connect
+
+    def recorded_connect(env, dst, kind="data", meta=None):
+        if meta and "instance" in meta:
+            dials.append((meta["service"], int(meta["instance"]),
+                          threading.current_thread()))
+        return connect(env, dst, kind, meta)
+
+    monkeypatch.setattr(TcpEnv, "connect", recorded_connect)
+    cluster = _booted_fig1_cluster(fig1)
+    try:
+        cluster.manager_loop.post(lambda: cluster.manager.execute_instance("B"))
+        assert _wait(lambda: len(dials) == 2)
+        assert [(svc, iid) for svc, iid, _t in dials] == [("A", 1), ("B", 1)]
+        for svc, iid, thread in dials:
+            assert thread is cluster.runtimes[(svc, iid)]._loop._thread
+        errors = [e for loop in cluster.fabric._loops for e in loop.errors]
+        assert errors == []
+    finally:
+        cluster.shutdown()
+
+
+def test_exec_on_a_port_bound_outside_the_fabric_answers_409(fig1,
+                                                             monkeypatch):
+    statuses = []
+    handle_response = Manager.handle_response
+
+    def recorded_response(manager, addr, msg):
+        if msg.msg_type is MT.EXECUTION_RESPONSE:
+            statuses.append(msg.status)
+        handle_response(manager, addr, msg)
+
+    monkeypatch.setattr(Manager, "handle_response", recorded_response)
+    cluster = _booted_fig1_cluster(fig1)
+    squatter = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        manager = cluster.manager
+        # 20000 is the port the manager's pool hands to the first B.
+        squatter.bind((cluster.fabric.ip("fd00::a1"), 20000))
+        squatter.listen(1)
+        cluster.manager_loop.post(lambda: manager.execute_instance("B"))
+        assert _wait(lambda: len(statuses) == 2)
+        assert statuses == [wire.EXECUTED, wire.CONFLICT]
+        assert _wait(lambda: ("B", 1) not in manager.instances)
+        assert ("B", 1) not in cluster.agents["fd00::a1"].instances
+        assert ("B", 1) not in cluster.runtimes
+        errors = [e for loop in cluster.fabric._loops for e in loop.errors]
+        assert errors == [] and cluster.fabric._io.errors == []
+    finally:
+        squatter.close()
+        cluster.shutdown()
 
 def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):
     """The peak thread count is fixed at the main thread, the fabric's one
