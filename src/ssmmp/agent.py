@@ -36,7 +36,6 @@ class LocalInstance:
     instance_id: int
     handle: object            # process handle: .alive / .kill() / .env
     channel: object | None = None
-    health: int = wire.OK
 
     @property
     def key(self) -> tuple[str, int]:
@@ -53,6 +52,7 @@ class _Flow:
 
 
 HEALTH_POLL_MS = 2_000     # how often running instances are asked
+INSTANCE_TIMEOUT_MS = 5_000  # an instance's answer to a health poll
 REGISTER_RETRY_MS = 1_000  # wait before registering again
 
 
@@ -60,7 +60,6 @@ REGISTER_RETRY_MS = 1_000  # wait before registering again
 class AgentConfig:
     agent_port: int = 7070
     manager_port: int = 7000
-    instance_timeout_ms: int = 5_000
 
 
 class SpawnError(Exception):
@@ -314,7 +313,7 @@ class Agent:
         # Safety valve: past the upstream's own expiry window the flow is
         # abandoned and the next same-id request may proceed.
         self._flows[mid] = _Flow(li, self.env.schedule(
-            self.config.instance_timeout_ms + 200,
+            INSTANCE_TIMEOUT_MS + 200,
             lambda: self._session_flow_done(mid), tag="timeout"))
 
     def _session_flow_done(self, mid: int) -> None:
@@ -399,7 +398,7 @@ class Agent:
                 self._lost(li)
                 continue
             timer = self.env.schedule(
-                self.config.instance_timeout_ms,
+                INSTANCE_TIMEOUT_MS,
                 lambda m=mid: self._health_timeout(m), tag="timeout")
             self._pending_health[mid] = (li, timer)
 
@@ -415,7 +414,6 @@ class Agent:
         entry = self._pending_health.pop(msg.message_id, None)
         if entry is not None:
             entry[1].cancel()
-        li.health = msg.status
         if msg.status != wire.OK:
             self._to_manager(rewrite_for_relay(msg, self.node_addr))
 
@@ -426,7 +424,6 @@ class Agent:
         self._report_health(li, wire.INTERNAL_ERROR)
 
     def _report_health(self, li: LocalInstance, status: int) -> None:
-        li.health = status
         self._to_manager(wire.make_message(
             MT.HEALTH_CONTROL_RESPONSE, self._ids.next(), ST.AGENT_TO_MANAGER,
             service_name=li.service_name,

@@ -76,6 +76,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as e:
         print(f"cannot read report: {e}")
         return 1
+    session = tuple(args.session.split(",")) if args.session else None
+    if session is not None and len(session) != 3:
+        print(f"bad --session {args.session!r}: want M,K,L")
+        return 1
     shown = 0
     for rec in report.records:
         if rec.kind != "msg":
@@ -95,12 +99,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
                                    fields.get("source_service_instance_id"),
                                    fields.get("dest_service_instance_id")):
                 continue
-        if args.session:
-            m, k, l = args.session.split(",")
+        if session is not None:
             fields = dict(msg.fields)
-            if (fields.get("source_plug_port") != m
-                    or fields.get("dest_socket_port") != k
-                    or fields.get("dest_socket_new_port") != l):
+            if (fields.get("source_plug_port"), fields.get("dest_socket_port"),
+                    fields.get("dest_socket_new_port")) != session:
                 continue
         print(rec.render())
         shown += 1

@@ -72,7 +72,7 @@ def check_conservation(manager: Manager, cluster, net) -> Verdict:
     roles = Counter(h.role for rt in cluster.live_runtimes()
                     for h in rt.sessions.values())
     source_open, dest_open = roles["source"], roles["dest"]
-    channels = len(net.open_data_channels())
+    channels = net.open_data_connections
     if established == source_open == dest_open == channels:
         return Verdict(True, "session_conservation", f"n={established}")
     return Verdict(False, "session_conservation",

@@ -112,54 +112,61 @@ def parse_scenario_text(text: str, name: str = "inline",
             continue
         parts = line.split()
         head = parts[0]
-        if head == "graph":
-            graph_path = parts[1]
-        elif head == "manager":
-            manager_addr = parts[1]
-            for part in parts[2:]:
-                key, _, value = part.partition("=")
-                if key != "port":
-                    raise ScenarioError(f"line {line_no}: unknown manager attr {key}")
-                manager_port = int(value)
-        elif head == "latency":
-            latency_range = (int(parts[1]), int(parts[2]))
-            if not 1 <= latency_range[0] <= latency_range[1]:
-                raise ScenarioError(f"line {line_no}: bad latency range")
-        elif head == "settle":
-            settle_ms = int(parts[1])
-        elif head == "node":
-            addr = parts[1]
-            repo: list[str] = []
-            behavior = "cascade"
-            for part in parts[2:]:
-                key, _, value = part.partition("=")
-                if key == "repo":
-                    repo = [s for s in value.split(",") if s]
-                elif key == "behavior":
-                    if value not in BEHAVIORS:
-                        raise ScenarioError(
-                            f"line {line_no}: unknown behavior {value!r}")
-                    behavior = value
-                else:
-                    raise ScenarioError(f"line {line_no}: unknown node attr {key}")
-            nodes.append(NodeDef(addr, repo, behavior))
-        elif head == "at":
-            if len(parts) < 3:
-                raise ScenarioError(f"line {line_no}: at <ms> <event> ...")
-            at_ms = int(parts[1])
-            kind = parts[2]
-            if kind not in EVENT_KINDS:
-                raise ScenarioError(f"line {line_no}: unknown event {kind!r}")
-            if kind == "expect" and (len(parts) < 4 or parts[3] not in EXPECT_CHECKS):
-                raise ScenarioError(f"line {line_no}: unknown expect check")
-            events.append(ScenarioEvent(at_ms, kind, tuple(parts[3:])))
-        else:
-            raise ScenarioError(f"line {line_no}: unknown directive {head!r}")
+        try:
+            if head == "graph":
+                graph_path = parts[1]
+            elif head == "manager":
+                manager_addr = parts[1]
+                for part in parts[2:]:
+                    key, _, value = part.partition("=")
+                    if key != "port":
+                        raise ScenarioError(f"line {line_no}: unknown manager attr {key}")
+                    manager_port = int(value)
+            elif head == "latency":
+                latency_range = (int(parts[1]), int(parts[2]))
+                if not 1 <= latency_range[0] <= latency_range[1]:
+                    raise ScenarioError(f"line {line_no}: bad latency range")
+            elif head == "settle":
+                settle_ms = int(parts[1])
+            elif head == "node":
+                addr = parts[1]
+                repo: list[str] = []
+                behavior = "cascade"
+                for part in parts[2:]:
+                    key, _, value = part.partition("=")
+                    if key == "repo":
+                        repo = [s for s in value.split(",") if s]
+                    elif key == "behavior":
+                        if value not in BEHAVIORS:
+                            raise ScenarioError(
+                                f"line {line_no}: unknown behavior {value!r}")
+                        behavior = value
+                    else:
+                        raise ScenarioError(f"line {line_no}: unknown node attr {key}")
+                nodes.append(NodeDef(addr, repo, behavior))
+            elif head == "at":
+                if len(parts) < 3:
+                    raise ScenarioError(f"line {line_no}: at <ms> <event> ...")
+                at_ms = int(parts[1])
+                kind = parts[2]
+                if kind not in EVENT_KINDS:
+                    raise ScenarioError(f"line {line_no}: unknown event {kind!r}")
+                if kind == "expect" and (len(parts) < 4 or parts[3] not in EXPECT_CHECKS):
+                    raise ScenarioError(f"line {line_no}: unknown expect check")
+                events.append(ScenarioEvent(at_ms, kind, tuple(parts[3:])))
+            else:
+                raise ScenarioError(f"line {line_no}: unknown directive {head!r}")
+        except (ValueError, IndexError) as e:  # a missing or non-integer value
+            raise ScenarioError(f"line {line_no}: malformed {head!r}: {line!r}") from e
 
     if graph is None:
         if not graph_path:
             raise ScenarioError("scenario declares no graph")
-        graph = parse_graph_file((Path(base_dir) / graph_path).read_text())
+        try:
+            graph_text = (Path(base_dir) / graph_path).read_text()
+        except OSError as e:
+            raise ScenarioError(f"cannot read graph {graph_path}: {e.strerror}") from e
+        graph = parse_graph_file(graph_text)
     if not manager_addr:
         raise ScenarioError("scenario declares no manager address")
     if not nodes:
@@ -184,5 +191,8 @@ def parse_scenario_text(text: str, name: str = "inline",
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    return parse_scenario_text(path.read_text(), name=path.stem,
-                               base_dir=path.parent)
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ScenarioError(f"cannot read scenario {path}: {e.strerror}") from e
+    return parse_scenario_text(text, name=path.stem, base_dir=path.parent)

@@ -26,6 +26,9 @@ from .wire import Message, MessageType as MT, SubType as ST
 SessionKey = tuple[str, int | None, str, int, int | None]
 
 IDLE_POLL_MS = 1_000  # how often idle instances are looked for
+IDLE_TIMEOUT_MS = 30_000  # an instance idle this long is shut down
+REQUEST_TIMEOUT_MS = 5_000  # an agent's answer, or a session's ack
+PORT_POOL_START = 20_000  # the first listener port of each node
 
 
 class AgentStatus(Enum):
@@ -145,9 +148,6 @@ class DnsTable:
 @dataclass
 class ManagerConfig:
     manager_port: int = 7000
-    idle_timeout_ms: int = 30_000
-    request_timeout_ms: int = 5_000
-    port_pool_start: int = 20_000
     # hook(service_name, status) for 429 reports; policy left pluggable
     scale_hook: Callable[[str, int], None] | None = None
 
@@ -261,7 +261,7 @@ class Manager:
 
     def _pool(self, addr: str) -> PortPool:
         if addr not in self._pools:
-            self._pools[addr] = PortPool(self.config.port_pool_start)
+            self._pools[addr] = PortPool(PORT_POOL_START)
         return self._pools[addr]
 
     def _graph_of(self, service: str) -> AbstractGraph | None:
@@ -405,7 +405,7 @@ class Manager:
         response or timeout; a failed send resolves it as unreachable."""
         mid = msg.message_id
         pending.timer = self.env.schedule(
-            self.config.request_timeout_ms,
+            REQUEST_TIMEOUT_MS,
             lambda: self._request_timeout(mid), tag="timeout")
         self._pending[mid] = pending
         if self._send(pending.agent, msg):
@@ -531,7 +531,7 @@ class Manager:
             dest_instance_id=dest.instance_id, socket_name=s,
             socket_port=k, session_port=None)
         self._pending_sessions[key] = (record, self.env.schedule(
-            self.config.request_timeout_ms,
+            REQUEST_TIMEOUT_MS,
             lambda: self._expire_pending_session(key), tag="timeout"))
         self._respond_session(source_addr, mid, wire.OK, dest.node_address, k)
 
@@ -588,10 +588,6 @@ class Manager:
 
     # -- session close ----------------------------------------------------
 
-    def _find_session(self, na_i: str, m: int, na_j: str, k: int, l: int
-                      ) -> SessionRecord | None:
-        return self._open_sessions.get((na_i, m, na_j, k, l))
-
     def _close_session(self, record: SessionRecord, reason: str) -> None:
         if record.state is SessionState.CLOSED:
             return
@@ -619,7 +615,7 @@ class Manager:
                msg.get("dest_service_instance_network_address"),
                msg.get_int("dest_socket_port"),
                msg.get_int("dest_socket_new_port"))
-        record = self._find_session(*key)
+        record = self._open_sessions.get(key)
         if record is not None:
             self._close_session(record, "reported")
             return
@@ -631,10 +627,6 @@ class Manager:
         """Ask one side's instance (via its agent) to close; 410-style no-op
         when already closed. Returns the message id actually sent."""
         if record.state is SessionState.CLOSED:
-            return None
-        if not record.complete():
-            # Never acknowledged; nothing is open at the instances.
-            self._close_session(record, "expired")
             return None
         addr = record.source_address if side == "source" else record.dest_address
         agent = self.agents.get(addr)
@@ -821,7 +813,7 @@ class Manager:
                 continue
             if self.open_session_count(inst) > 0:
                 continue
-            if now - inst.last_activity > self.config.idle_timeout_ms:
+            if now - inst.last_activity > IDLE_TIMEOUT_MS:
                 reaped.append(inst)
         for inst in reaped:
             self.request_graceful_shutdown(inst)

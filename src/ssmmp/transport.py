@@ -10,8 +10,8 @@ Connecting allocates an ephemeral port m on the source node and a fresh
 per-session port l on the destination node; the acceptor learns the peer
 endpoint and any connect metadata, the connector learns l. A channel's port
 is bound while it is open and free again once it closes. Each node hands out
-ephemeral ports in rising order from 40000, wraps to 40000 after 65535, and
-skips ports still bound.
+m and l from one `PortPool` over 40000-65535, as the TCP fabric does, and
+skips a port that a listener holds. A queued entry is its own timer.
 
 Both fabrics' channels are a `ChannelEnd`, which holds the handlers and
 what arrives before them; `Channel` and `tcp.TcpChannel` add only send, close
@@ -233,26 +233,21 @@ class Timer:
 
 
 class _SimTimer(Timer):
-    """A timer of the simulator's queue. While its entry is queued and alive,
-    the entry's tag is counted in `pending`, so that the pending tags need no
-    walk of the queue. A timer has at most one entry queued at a time."""
+    """A timer of the simulator's queue, and its queue entry. While it is
+    queued and alive, its tag is counted in `pending`, so that the pending
+    tags need no walk of the queue. It is queued at most once at a time."""
 
-    def __init__(self, pending: dict[str, int]) -> None:
+    def __init__(self, pending: dict[str, int], fn, tag: str) -> None:
         super().__init__()
         self._pending = pending
-        self.queued_tag: str | None = None
+        self.fn = fn
+        self.tag = tag
+        self.queued = False
 
     def cancel(self) -> None:
-        if self.alive and self.queued_tag is not None:
-            self._pending[self.queued_tag] -= 1
+        if self.alive and self.queued:
+            self._pending[self.tag] -= 1
         self.alive = False
-
-
-class _Node:
-    def __init__(self, addr: str):
-        self.addr = addr
-        self.up = True
-        self.next_ephemeral = EPHEMERAL_START
 
 
 class SimNetwork:
@@ -266,15 +261,18 @@ class SimNetwork:
         self._latency_fn = latency_fn
         self._now = 0
         self._seq = 0
-        self._queue: list[tuple[int, float, int, object]] = []
+        self._queue: list[tuple[int, float, int, _SimTimer]] = []
         self._pending: dict[str, int] = {}  # tag -> live queued entries
         self._compact_at = _QUEUE_COMPACT_MIN
-        self._nodes: dict[str, _Node] = {}
+        # Each node's ephemeral ports; a node in `_down` has died.
+        self._ports: dict[str, PortPool] = {}
+        self._down: set[str] = set()
         self._listeners: dict[Endpoint, Listener] = {}
         # Open channels in creation order, by local endpoint (unique:
         # allocation skips bound ports and listen refuses them); a channel
         # leaves when it closes, which frees its port.
         self._channels: dict[Endpoint, Channel] = {}
+        self.open_data_connections = 0  # with at least one end open
         self._broken: set[frozenset[str]] = set()
         self.horizon_ms: int | None = None
         # None, or the run's Collector: on_send(channel, msg), on_emit(kind,
@@ -295,19 +293,19 @@ class SimNetwork:
         if self.observer is not None:
             self.observer.on_event(seq, kind, src, dst, detail)
 
-    def _push(self, time_ms: int, tie: float, entry) -> None:
+    def _push(self, time_ms: int, tie: float, timer: _SimTimer) -> None:
         queue = self._queue
         if len(queue) >= self._compact_at:
             # A cancelled timer (most are request timeouts) would wait for
             # its time; drop them here so that the queue stays within twice
             # its live entries. (time, tie, seq) is a total order, so the
             # live entries still run in the same order.
-            queue[:] = [e for e in queue if e[3].timer.alive]
+            queue[:] = [e for e in queue if e[3].alive]
             heapq.heapify(queue)
             self._compact_at = max(_QUEUE_COMPACT_MIN, 2 * len(queue))
-        heapq.heappush(queue, (time_ms, tie, self._next_seq(), entry))
-        entry.timer.queued_tag = entry.tag
-        self._pending[entry.tag] = self._pending.get(entry.tag, 0) + 1
+        heapq.heappush(queue, (time_ms, tie, self._next_seq(), timer))
+        timer.queued = True
+        self._pending[timer.tag] = self._pending.get(timer.tag, 0) + 1
 
     def _hop_latency(self) -> int:
         if self._latency_fn is not None:
@@ -316,57 +314,54 @@ class SimNetwork:
 
     def _after_channel(self, ch: Channel, fn, tag: str = "net") -> Timer:
         """Channel events keep send order even under drawn latencies."""
-        timer = _SimTimer(self._pending)
+        timer = _SimTimer(self._pending, fn, tag)
         time_ms = max(self._now + self._hop_latency(), ch._floor)
         ch._floor = time_ms
-        self._push(time_ms, ch._tie, _QueueEntry(fn, timer, tag))
+        self._push(time_ms, ch._tie, timer)
         return timer
 
     def schedule(self, delay_ms: int, fn, tag: str = "timer") -> Timer:
         """Run `fn` after `delay_ms`. A `retry` due past the horizon is
         dropped, as repeating ticks are, so that an actor retrying for ever
         (an agent whose manager died) cannot keep the run going."""
-        timer = _SimTimer(self._pending)
+        timer = _SimTimer(self._pending, fn, tag)
         tie = self._rng.random()
         due = self._now + delay_ms
         if tag != "retry" or self.horizon_ms is None or due <= self.horizon_ms:
-            self._push(due, tie, _QueueEntry(fn, timer, tag))
+            self._push(due, tie, timer)
         return timer
 
     def schedule_abs(self, time_ms: int, fn, tag: str = "timeline") -> Timer:
         """Run at an absolute time, before same-time network events, in
         scheduling order (tie below the [0, 1) range used elsewhere)."""
-        timer = _SimTimer(self._pending)
-        self._push(time_ms, -1.0, _QueueEntry(fn, timer, tag))
+        timer = _SimTimer(self._pending, fn, tag)
+        self._push(time_ms, -1.0, timer)
         return timer
 
     def schedule_repeating(self, period_ms: int, fn, tag: str = "tick") -> Timer:
-        timer = _SimTimer(self._pending)
-
         def fire():
-            if not timer.alive:
-                return
             fn()
             nxt = self._now + period_ms
             if timer.alive and (self.horizon_ms is None or nxt <= self.horizon_ms):
-                self._push(nxt, tie, _QueueEntry(fire, timer, tag))
+                self._push(nxt, tie, timer)
 
+        timer = _SimTimer(self._pending, fire, tag)
         tie = self._rng.random()
         first = self._now + period_ms
         if self.horizon_ms is None or first <= self.horizon_ms:
-            self._push(first, tie, _QueueEntry(fire, timer, tag))
+            self._push(first, tie, timer)
         return timer
 
     def step(self) -> bool:
         """Execute the next queued entry; False when the queue is drained."""
         while self._queue:
-            time_ms, _tie, _seq, entry = heapq.heappop(self._queue)
-            if not entry.timer.alive:
+            time_ms, _tie, _seq, timer = heapq.heappop(self._queue)
+            if not timer.alive:
                 continue
-            entry.timer.queued_tag = None
-            self._pending[entry.tag] -= 1
+            timer.queued = False
+            self._pending[timer.tag] -= 1
             self._now = max(self._now, time_ms)
-            entry.fn()
+            timer.fn()
             return True
         return False
 
@@ -375,8 +370,8 @@ class SimNetwork:
         after `until_ms`."""
         queue = self._queue
         while queue:
-            time_ms, _tie, _seq, entry = queue[0]
-            if not entry.timer.alive:
+            time_ms, _tie, _seq, timer = queue[0]
+            if not timer.alive:
                 heapq.heappop(queue)
             elif until_ms is not None and time_ms > until_ms:
                 return
@@ -390,22 +385,20 @@ class SimNetwork:
     # -- topology -----------------------------------------------------------
 
     def add_node(self, addr: str) -> None:
-        if addr not in self._nodes:
-            self._nodes[addr] = _Node(addr)
+        if addr not in self._ports:
+            self._ports[addr] = PortPool(EPHEMERAL_START, EPHEMERAL_END)
 
     def node_up(self, addr: str) -> bool:
-        node = self._nodes.get(addr)
-        return node is not None and node.up
+        return addr in self._ports and addr not in self._down
 
     def _link_ok(self, a: str, b: str) -> bool:
         return frozenset((a, b)) not in self._broken
 
     def kill_node(self, addr: str) -> None:
         """Node dies: listeners vanish, channels close, connects refuse."""
-        node = self._nodes.get(addr)
-        if node is None or not node.up:
+        if not self.node_up(addr):
             return
-        node.up = False
+        self._down.add(addr)
         for ep in [ep for ep in self._listeners if ep.addr == addr]:
             self._listeners.pop(ep)
         for ch in list(self._channels.values()):
@@ -422,24 +415,26 @@ class SimNetwork:
         ep = Endpoint(addr, port)
         return ep in self._listeners or ep in self._channels
 
-    def _alloc_ephemeral(self, addr: str) -> int:
-        node = self._nodes[addr]
-        port = node.next_ephemeral
-        for _ in range(EPHEMERAL_END - EPHEMERAL_START + 1):
-            if port > EPHEMERAL_END:
-                port = EPHEMERAL_START
-            if not self.port_in_use(addr, port):
-                node.next_ephemeral = port + 1
+    def _alloc_port(self, addr: str) -> int:
+        """A port from `addr`'s pool that no listener holds. A port that
+        one holds goes back to the pool, behind every other free port."""
+        pool = self._ports[addr]
+        for _ in range(pool.available()):
+            port = pool.alloc()
+            if Endpoint(addr, port) not in self._listeners:
                 return port
-            port += 1
+            pool.free(port)
         # Refused like any other failed connect, so callers answer with a
         # status rather than a traceback.
         raise ConnectionRefused(f"ephemeral ports exhausted on {addr}")
 
     def _unbind(self, ch: Channel) -> None:
-        """Mark `ch` closed and free its local port."""
+        """Mark `ch` closed, free its port, and count a connection's last end."""
         ch._open = False
         del self._channels[ch.local]
+        self._ports[ch.local.addr].free(ch.local.port)
+        if ch.kind == "data" and not ch._peer._open:
+            self.open_data_connections -= 1
 
     def _close_end(self, ch: Channel, detail: str = "") -> None:
         """Close `ch` here, and its peer one hop later."""
@@ -473,14 +468,20 @@ class SimNetwork:
         lst = self._listeners.get(dst)
         if lst is None or not lst.open:
             raise ConnectionRefused(str(dst))
-        m = self._alloc_ephemeral(src_addr)
-        l = self._alloc_ephemeral(dst.addr)
+        m = self._alloc_port(src_addr)
+        try:
+            l = self._alloc_port(dst.addr)
+        except ConnectionRefused:
+            self._ports[src_addr].free(m)
+            raise
         tie = self._rng.random()
         near = Channel(self, Endpoint(src_addr, m), Endpoint(dst.addr, l), kind, tie)
         far = Channel(self, Endpoint(dst.addr, l), Endpoint(src_addr, m), kind, tie)
         near._peer, far._peer = far, near
         self._channels[near.local] = near
         self._channels[far.local] = far
+        if kind == "data":
+            self.open_data_connections += 1
         self._event("connect", near.local, dst, f"l={l}")
         info = AcceptInfo(near.local, dst.port, l, dict(meta or {}))
 
@@ -504,20 +505,6 @@ class SimNetwork:
             raise ChannelClosed(f"link down {ch.local} -> {ch.remote}")
         peer = ch._peer
         self._after_channel(ch, lambda: peer._deliver(data))
-
-    def open_data_channels(self) -> list[Channel]:
-        """One entry per live connection (near end only), data kind."""
-        out = []
-        seen = set()
-        for ch in self._channels.values():
-            if ch.kind != "data":
-                continue
-            key = frozenset((ch.local, ch.remote))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(ch)
-        return out
 
     def env(self, addr: str, name: str = "") -> SimEnv:
         """The node-bound environment of one actor. `name` is unused: every
@@ -554,12 +541,3 @@ class SimEnv:
     def emit(self, kind: str, text: str) -> None:
         if self._net.observer is not None:
             self._net.observer.on_emit(kind, text)
-
-
-class _QueueEntry:
-    __slots__ = ("fn", "timer", "tag")
-
-    def __init__(self, fn, timer: Timer, tag: str):
-        self.fn = fn
-        self.timer = timer
-        self.tag = tag

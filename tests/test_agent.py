@@ -5,7 +5,8 @@ import pytest
 from conftest import FIXTURES, make_cluster, observe, sent_messages
 
 from ssmmp import wire
-from ssmmp.agent import _RELAY, AgentConfig, rewrite_for_relay
+from ssmmp.agent import (_RELAY, INSTANCE_TIMEOUT_MS, AgentConfig,
+                         rewrite_for_relay)
 from ssmmp.graph import parse_graph_file
 from ssmmp.wire import MessageType as MT, SubType as ST
 
@@ -228,7 +229,7 @@ def test_silent_instance_synthesizes_500(fig1_graph):
     sent = _capture_upward(agent)
     cluster.runtime("B", 1).behavior.mute = True
     agent.health_poll_tick()
-    net.run(until_ms=net.now_ms() + agent.config.instance_timeout_ms + 100)
+    net.run(until_ms=net.now_ms() + INSTANCE_TIMEOUT_MS + 100)
     assert any(m.msg_type is MT.HEALTH_CONTROL_RESPONSE
                and m.status == wire.INTERNAL_ERROR for m in sent)
 

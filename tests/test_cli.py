@@ -71,3 +71,30 @@ def test_run_of_an_invalid_scenario_prints_one_line(tmp_path, capsys):
     assert main(["run", str(scenario), "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines() == ["INVALID: line 3: unknown behavior 'bogus'"]
+
+
+def test_run_of_a_malformed_or_missing_input_prints_one_line(tmp_path,
+                                                             capsys):
+    scenario = tmp_path / "bad.scenario"
+    for body, line in (
+            ("graph missing.graph\n", "INVALID: cannot read graph "
+             "missing.graph: No such file or directory"),
+            ("settle abc\n", "INVALID: line 1: malformed 'settle': "
+             "'settle abc'")):
+        scenario.write_text(body + "manager fd00::1\nnode fd00::a1 repo=A\n")
+        assert main(["run", str(scenario), "--seed", "1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [line]
+    missing = tmp_path / "missing.scenario"
+    assert main(["run", str(missing), "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"INVALID: cannot read scenario {missing}: No such file or directory"]
+
+
+def test_trace_with_a_malformed_session_prints_one_line(tmp_path, capsys):
+    out_file = tmp_path / "report.txt"
+    assert main(["run", str(FIXTURES / "fig1_boot.scenario"),
+                 "--seed", "1", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    assert main(["trace", str(out_file), "--session", "1,2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "bad --session '1,2': want M,K,L"]

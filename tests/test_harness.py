@@ -43,6 +43,16 @@ def test_scenario_rejects_bad_input(fig1_graph):
         parse_scenario_text("manager fd00::1\n"
                             "node fd00::a1 repo=A behavior=bogus\n",
                             graph=fig1_graph)
+    node = "node fd00::a1 repo=A\n"
+    for bad in ("settle abc", "at x user_request A", "manager fd00::1 port=x",
+                "graph", "latency 1"):
+        with pytest.raises(ScenarioError, match=f"line 2: malformed.*{bad}"):
+            parse_scenario_text(f"{node}{bad}\nmanager fd00::1\n",
+                                graph=fig1_graph)
+    base = "manager fd00::1\n" + node
+    with pytest.raises(ScenarioError, match="cannot read graph missing.graph"):
+        parse_scenario_text("graph missing.graph\n" + base,
+                            base_dir=FIXTURES)
 
 
 def parse_scenarios_out_of_order(graph):

@@ -159,15 +159,20 @@ def test_churn_leaves_only_open_channels_in_the_fabric(fig1_graph):
 def test_churn_past_port_65535_wraps_to_free_ports(fig1_graph):
     net, cluster = _booted_single_node(fig1_graph)
     _close(net, cluster, _open(net, cluster))
-    net._nodes["fd00::a1"].next_ephemeral = 65530
+    held = {ch.local.port for ch in net._channels.values()}  # control links
+    net.listen("fd00::a1", 65533, lambda ch, info: None)
+    net._ports["fd00::a1"]._next = 65530
     for _ in range(10):
         _close(net, cluster, _open(net, cluster))
     records = cluster.manager.sessions[1:]
     assert len(records) == 10
     assert all(s.state is SessionState.CLOSED for s in records)
     ports = [p for s in records for p in (s.plug_port, s.session_port)]
-    assert all(40000 <= p <= 65535 for p in ports)
-    assert any(p < 65530 for p in ports)  # it wrapped
+    # never-used ports first, then the longest-freed one: the first
+    # session's 40005 and 40006
+    assert ports[:7] == [65530, 65531, 65532, 65534, 65535, 40005, 40006]
+    assert 65533 not in ports  # the listener's
+    assert not held & set(ports)
 
 
 def test_churn_empties_both_session_tables(fig1_graph):

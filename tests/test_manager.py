@@ -5,8 +5,9 @@ import pytest
 from conftest import make_cluster
 
 from ssmmp import wire
-from ssmmp.manager import (AgentStatus, InstanceState, NameNotFound,
-                           PortPool, SessionState)
+from ssmmp.manager import (IDLE_TIMEOUT_MS, REQUEST_TIMEOUT_MS, AgentStatus,
+                           InstanceState, NameNotFound, PortPool,
+                           SessionState)
 from ssmmp.wire import Message, MessageType as MT, SubType as ST
 
 
@@ -385,7 +386,7 @@ def test_pending_session_expires_without_ack(fig1_graph):
         source_plug_name="P", dest_service_name="B", dest_socket_name="S")
     manager.handle_session_request("fd00::a1", msg)
     assert ("fd00::a1", 88) in manager._pending_sessions
-    net.run(until_ms=net.now_ms() + manager.config.request_timeout_ms + 100)
+    net.run(until_ms=net.now_ms() + REQUEST_TIMEOUT_MS + 100)
     assert ("fd00::a1", 88) not in manager._pending_sessions
     assert manager.sessions == []
     assert any("expired without ack" in j[2] for j in manager.journal
@@ -429,7 +430,7 @@ def test_request_resolves_only_by_its_own_kind(fig1_graph, kind, request_name,
     assert logs[-1] == f"{wrong_name} with unknown id {mid}"
     assert manager._pending[mid].kind == kind
     assert manager.established_sessions()  # the close did not resolve
-    net.run(until_ms=net.now_ms() + manager.config.request_timeout_ms + 100)
+    net.run(until_ms=net.now_ms() + REQUEST_TIMEOUT_MS + 100)
     assert mid not in manager._pending
     logs = [text for _t, k, text in manager.journal if k == "log"]
     assert f"{request_name} {mid} timed out" in logs
@@ -585,9 +586,9 @@ def test_idle_tick_thresholds(fig1_graph):
     inst = manager.instances[("B", 1)]
     closed_at = inst.last_activity
     # just inside the timeout: not reaped
-    net.run(until_ms=closed_at + manager.config.idle_timeout_ms - 1000)
+    net.run(until_ms=closed_at + IDLE_TIMEOUT_MS - 1000)
     assert inst.state is InstanceState.RUNNING
-    net.run(until_ms=closed_at + manager.config.idle_timeout_ms + 2000)
+    net.run(until_ms=closed_at + IDLE_TIMEOUT_MS + 2000)
     assert inst.state in (InstanceState.DRAINING, InstanceState.CLOSED)
     net.run(until_ms=net.now_ms() + 50)
     assert inst.state is InstanceState.CLOSED

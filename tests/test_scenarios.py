@@ -89,6 +89,32 @@ def test_kill_instance_detected_and_cleaned_up(fig1_graph):
     assert MT.HEALTH_CONTROL_RESPONSE in types
 
 
+def test_health_fault_and_a_broken_link_fail_only_what_they_touch(
+        fig1_graph):
+    from ssmmp.harness.scenario import parse_scenario_text
+    sc = parse_scenario_text(
+        "manager fd00::1\n"
+        "node fd00::a1 repo=A,B\n"
+        "node fd00::a2 repo=service-1\n"
+        "at 50 exec_instance A\n"
+        "at 60 exec_instance B\n"
+        "at 70 exec_instance service-1\n"
+        "at 100 set_health B.1 faulted\n"
+        "at 200 break_link fd00::a1 fd00::a2\n"
+        "at 250 open_session A.1 P2\n"
+        "at 400 expect open_failed A P2 503\n"
+        "at 500 heal_link fd00::a1 fd00::a2\n"
+        "at 600 open_session A.1 P2\n"
+        "at 800 expect session_count established 1\n"
+        "at 5000 expect instance_running B 0\n"
+        "at 5000 expect replay_matches\n",
+        name="fault_and_link", graph=fig1_graph)
+    report = run_scenario(sc, seed=1)
+    assert report.ok, "\n".join(
+        v.render() for v in report.invariants + report.expects if not v.ok)
+    assert [v.ok for v in report.expects] == [True] * 4
+
+
 def test_seed_changes_interleaving_not_outcome():
     reports = [run_scenario_file(FIXTURES / "fig1_boot.scenario", seed)
                for seed in (1, 2, 3)]

@@ -95,6 +95,23 @@ def test_open_failure_status_propagates(fig1_graph):
     assert rt.sessions == {}
 
 
+def test_open_times_out_with_504_when_nothing_answers(fig1_graph,
+                                                     monkeypatch):
+    net, cluster = _booted(fig1_graph)
+    monkeypatch.setattr(type(cluster.manager), "handle_session_request",
+                        lambda *args: None)
+    rt = cluster.runtime("A", 1)
+    failures = []
+    opened_at = net.now_ms()
+    rt.open_session("P", on_failed=lambda _rt, plug, status:
+                    failures.append((plug, status, net.now_ms())))
+    net.run(until_ms=opened_at + rt.OPEN_TIMEOUT_MS - 1)
+    assert failures == []
+    net.run(until_ms=opened_at + rt.OPEN_TIMEOUT_MS)
+    assert failures == [("P", wire.TIMEOUT, opened_at + rt.OPEN_TIMEOUT_MS)]
+    assert rt.sessions == {}
+
+
 def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
     net, cluster = _booted(fig1_graph)
     collector = observe(net)
@@ -213,6 +230,20 @@ def test_bind_conflict_surfaces_as_execution_409(fig1_graph):
     responses = [m for m in sent_messages(collector)
                  if m.msg_type is MT.EXECUTION_RESPONSE]
     assert responses and responses[-1].status == wire.CONFLICT
+    assert ("B", 1) not in cluster.manager.instances
+
+
+def test_parked_request_whose_exec_fails_is_answered_406(fig1_graph):
+    net, cluster = _booted(fig1_graph)
+    # B.1 is not running yet: the request waits on its exec, whose socket
+    # cannot bind the port the pool hands it
+    net.listen("fd00::a1", 20000, lambda ch, info: None)
+    rt = cluster.runtime("A", 1)
+    failures = []
+    rt.open_session("P", on_failed=lambda _rt, plug, status:
+                    failures.append((plug, status)))
+    net.run(until_ms=net.now_ms() + 50)
+    assert failures == [("P", wire.NO_BYTECODE)]
     assert ("B", 1) not in cluster.manager.instances
 
 

@@ -67,16 +67,22 @@ def test_listen_port_conflict():
 def test_ephemeral_ports_wrap_past_65535_and_skip_bound_ports():
     net = _two_nodes()
     _echo_listener(net, "fd00::a", 9000, [])
+    _echo_listener(net, "fd00::a", 65535, [])  # a listener inside the range
     held, _m, _l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
     assert (held.local.port, held.remote.port) == (40000, 40001)
-    net._nodes["fd00::a"].next_ephemeral = 65535
+    gone, _m, _l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
+    gone.close()
+    net.run()  # frees 40002 now and 40003 one hop later
+    net._ports["fd00::a"]._next = 65534
     _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
-    assert (m, l) == (65535, 40002)  # the held channel binds 40000 and 40001
+    # never-used 65534 first; 65535 is the listener's, so the longest-freed
+    assert (m, l) == (65534, 40002)
+    with pytest.raises(ConnectionRefused):  # 40003 then only 65535 is left
+        net.connect("fd00::a", Endpoint("fd00::a", 9000))
     held.close()
-    net.run()  # the far end closes one hop later
-    net._nodes["fd00::a"].next_ephemeral = 65535
+    net.run()  # the held channel frees 40000, then 40001
     _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
-    assert (m, l) == (40000, 40001)  # 65535 is bound; closing freed the rest
+    assert (m, l) == (40003, 40000)  # the refused connect gave 40003 back
 
 
 def test_ephemeral_ports_run_out_only_when_all_are_bound():
@@ -91,6 +97,15 @@ def test_ephemeral_ports_run_out_only_when_all_are_bound():
     net.run()
     _ch, m, l = net.connect("fd00::a", Endpoint("fd00::a", 9000))
     assert {m, l} == {channels[-1].local.port, channels[-1].remote.port}
+
+
+def test_a_refused_connect_gives_the_source_port_back():
+    net = _two_nodes()
+    _echo_listener(net, "fd00::b", 9000, [])
+    net._ports["fd00::b"]._next = EPHEMERAL_END + 1  # no port left on b
+    with pytest.raises(ConnectionRefused):
+        net.connect("fd00::a", Endpoint("fd00::b", 9000))
+    assert net._ports["fd00::a"].allocated == set()
 
 
 def test_kill_node_closes_channels_and_listeners():
@@ -212,7 +227,7 @@ def test_pending_tags_follow_cancel_and_fire():
 
 
 def _walked_tags(net):
-    return {e.tag for _, _, _, e in net._queue if e.timer.alive}
+    return {timer.tag for _, _, _, timer in net._queue if timer.alive}
 
 
 @pytest.mark.parametrize("name,scenario", sweep_scenarios(),
@@ -231,6 +246,26 @@ def test_pending_tags_equal_a_walk_of_the_queue_at_every_step(
     monkeypatch.setattr(SimNetwork, "step", checked)
     run_scenario(scenario, seed=7)
     assert steps[0] > 30
+
+
+@pytest.mark.parametrize("name,scenario", sweep_scenarios(),
+                         ids=[name for name, _ in sweep_scenarios()])
+def test_open_data_connections_equal_a_walk_of_the_channels_at_every_step(
+        name, scenario, monkeypatch):
+    step = SimNetwork.step
+    counts = set()
+
+    def checked(net):
+        progressed = step(net)
+        walked = {frozenset((c.local, c.remote))
+                  for c in net._channels.values() if c.kind == "data"}
+        assert net.open_data_connections == len(walked)
+        counts.add(len(walked))
+        return progressed
+
+    monkeypatch.setattr(SimNetwork, "step", checked)
+    run_scenario(scenario, seed=7)
+    assert len(counts) > 1
 
 
 def test_run_until_stops_before_a_live_entry_past_the_limit():
