@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .. import wire
-from ..manager import AgentStatus, InstanceState, Manager, SessionState
+from ..manager import AgentStatus, InstanceState, Manager
 from ..wire import Message, MessageType as MT, SubType as ST
 from .report import TraceRecord, Verdict
 
@@ -118,10 +118,10 @@ def check_isolation(manager: Manager) -> Verdict:
             if inst.node_address == addr:
                 return Verdict(False, "isolation_completeness",
                                f"{inst.canonical_name} still open on {addr}")
-        for s in manager.sessions:
-            if s.state is not SessionState.CLOSED and s.touches_node(addr):
-                return Verdict(False, "isolation_completeness",
-                               f"session {s.key()} still touches {addr}")
+        touching = manager.open_sessions_on(addr)
+        if touching:
+            return Verdict(False, "isolation_completeness",
+                           f"session {touching[0].key()} still touches {addr}")
     return Verdict(True, "isolation_completeness")
 
 

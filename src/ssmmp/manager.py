@@ -765,7 +765,7 @@ class Manager:
             ch.close()
         # Sessions touching the node: ask the surviving side to close, then
         # regard them as closed here regardless.
-        for s in list(self._sessions_by_node.get(addr, {}).values()):
+        for s in self.open_sessions_on(addr):
             if s.state is SessionState.CLOSED:
                 continue
             if s.source_address == addr and s.dest_address != addr:
@@ -830,3 +830,8 @@ class Manager:
 
     def established_sessions(self) -> list[SessionRecord]:
         return [s for s in self.sessions if s.state is SessionState.ESTABLISHED]
+
+    def open_sessions_on(self, addr: str) -> list[SessionRecord]:
+        """The open records that touch node `addr`, in the order they were
+        established."""
+        return list(self._sessions_by_node.get(addr, {}).values())

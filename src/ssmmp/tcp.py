@@ -284,12 +284,14 @@ class TcpChannel(ChannelEnd):
                 self._sock.sendall(data)
         except OSError as e:
             self._drop()
+            self._drop_handlers()
             raise ChannelClosed(str(e)) from e
 
     def close(self) -> None:
         if self._open:
             _shut(self._sock)
             self._drop()
+            self._drop_handlers()
 
     def _drop(self) -> None:
         self._open = False

@@ -15,8 +15,11 @@ skips a port that a listener holds. A queued entry is its own timer.
 
 Both fabrics' channels are a `ChannelEnd`, which holds the handlers and
 what arrives before them; `Channel` and `tcp.TcpChannel` add only send, close
-and delivery. Every control message leaves through `send_message` and is read
-through `read_messages`, with one `wire.MessageReader` per channel.
+and delivery. A closed end holds no handlers once its close is handed on,
+and two closed simulated ends no longer hold each other, so that a closed
+session is freed when it closes and not at the next full collection. Every
+control message leaves through `send_message` and is read through
+`read_messages`, with one `wire.MessageReader` per channel.
 
 A simulated run has at most one observer, `SimNetwork.observer`: it sees
 each sent `Message`, each transport event and each actor's `env.emit`.
@@ -111,7 +114,9 @@ class ChannelEnd:
     Data and a peer's close that come before `set_handlers` wait here, and
     are replayed in order once it is called. A subclass sends and closes (a
     no-op on a closed end), and hands what arrives to `_arrive` and
-    `_peer_closed`. Ends hash by identity."""
+    `_peer_closed`; a closed end ignores late data. Once a close is handed
+    to the handler, or the end is closed by its own side, the end lets its
+    handlers go. Ends hash by identity."""
 
     def __init__(self, local: Endpoint, remote: Endpoint, kind: str):
         self.local = local
@@ -139,6 +144,8 @@ class ChannelEnd:
             self._peer_closed()
 
     def _arrive(self, data: bytes) -> None:
+        if not self._open:
+            return
         if self.on_data is None:
             self._inbox.append(data)
         else:
@@ -148,8 +155,16 @@ class ChannelEnd:
         """The peer closed this end: tell the handler, now or once set."""
         if self.on_data is None and self.on_close is None:
             self._pending_close = True
-        elif self.on_close is not None:
-            self.on_close(self)
+            return
+        on_close = self.on_close
+        self._drop_handlers()
+        if on_close is not None:
+            on_close(self)
+
+    def _drop_handlers(self) -> None:
+        """Let the handlers of this closed end go: they close over the
+        owner, which holds the end, and nothing calls them again."""
+        self.on_data = self.on_close = None
 
 
 def send_message(channel: ChannelEnd | None, msg: Message) -> bool:
@@ -429,19 +444,24 @@ class SimNetwork:
         raise ConnectionRefused(f"ephemeral ports exhausted on {addr}")
 
     def _unbind(self, ch: Channel) -> None:
-        """Mark `ch` closed, free its port, and count a connection's last end."""
+        """Mark `ch` closed and free its port. A connection's last end to
+        close counts it out and unlinks the two ends."""
         ch._open = False
         del self._channels[ch.local]
         self._ports[ch.local.addr].free(ch.local.port)
-        if ch.kind == "data" and not ch._peer._open:
-            self.open_data_connections -= 1
+        peer = ch._peer
+        if not peer._open:
+            if ch.kind == "data":
+                self.open_data_connections -= 1
+            ch._peer = peer._peer = None
 
     def _close_end(self, ch: Channel, detail: str = "") -> None:
         """Close `ch` here, and its peer one hop later."""
-        self._unbind(ch)
-        self._event("close", ch.local, ch.remote, detail)
         peer = ch._peer
-        if peer is not None and peer._open:
+        self._unbind(ch)
+        ch._drop_handlers()
+        self._event("close", ch.local, ch.remote, detail)
+        if peer._open:
             self._after_channel(ch, peer._close_from_peer)
 
     # -- connectivity -------------------------------------------------------

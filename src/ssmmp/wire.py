@@ -9,14 +9,20 @@ Framing: LF line endings, UTF-8, one empty line terminates a message. Shared
 request/response/ack chains reuse one message_id; identifiers are generated
 per originator by a monotonic counter starting at 1.
 
-Each template is compiled at import into its field names paired with one
-check per field, built from FIELD_KINDS. A message is checked against its
-template once when it is built (`make_message`) and once when it is
-received (`parse_message`); both mark it `checked`, and so does an agent's
-relay of a checked message. `serialize_message` checks only a message built
-by hand, whose `checked` is false. `parse_message` finds the template from
-the wire text of the type and sub_type lines and checks the fields in one
-pass; only a rejected message is diagnosed line by line, to name its fault.
+Each field name has one check, built from FIELD_KINDS. A message is checked
+against its template once when it is built (`make_message`) and once when
+it is received (`parse_message`); both mark it `checked`, and so does an
+agent's relay of a checked message. `serialize_message` checks only a
+message built by hand, whose `checked` is false, and fills a per-template
+frame text built at import.
+
+`parse_message` matches the whole decoded frame against one compiled
+pattern per template, looked up by the frame's first line: the literal
+type, message_id and sub_type lines, each field name, and each token, id,
+port (1-65535) and status (100-599) value. The checks a pattern does not
+state, an address and the three list formats, then run on the captured
+values. Only a rejected frame is diagnosed line by line (`_split_lines`,
+`_reject`), to name its fault.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ class MessageType(Enum):
     HEALTH_CONTROL_REQUEST = "health_control_request"
     HEALTH_CONTROL_RESPONSE = "health_control_response"
 
+    # By identity, in C: Enum's own hash runs Python code on every lookup
+    # of a template key.
+    __hash__ = object.__hash__
+
 
 class SubType(Enum):
     SERVICE_TO_AGENT = "service_to_agent"
@@ -62,6 +72,8 @@ class SubType(Enum):
     AGENT_TO_DEST_SERVICE = "agent_to_dest_service"
     AGENT_TO_SERVICE_INSTANCE = "agent_to_service_instance"
     SERVICE_INSTANCE_TO_AGENT = "service_instance_to_agent"
+
+    __hash__ = object.__hash__  # as MessageType's
 
 
 _MSG_TYPES = {t.value: t for t in MessageType}
@@ -351,13 +363,13 @@ def make_message(
     missing/extra value or template violation; the message returned is
     `checked`.
     """
-    compiled = _COMPILED.get((msg_type, sub_type))
-    if compiled is None:
+    checks = _CHECKS.get((msg_type, sub_type))
+    if checks is None:
         raise InvalidMessage([ValidationIssue(
             "UnknownType", f"no template for ({msg_type.value}, {sub_type})")])
     fields = []
     issues = []
-    for name, check in compiled.checks:
+    for name, check in checks:
         if name not in values:
             raise InvalidMessage([ValidationIssue(
                 "TemplateMismatch", f"missing field {name}")])
@@ -535,21 +547,11 @@ FIELD_CHECKS: dict[str, FieldCheck] = {
     name: _CHECK_OF_KIND[kind](name) for name, kind in FIELD_KINDS.items()}
 
 
-class _Compiled(NamedTuple):
-    """A template with each field name paired with its check."""
-
-    msg_type: MessageType
-    sub_type: SubType | None
-    checks: tuple[tuple[str, FieldCheck], ...]
-
-
-_COMPILED: dict[tuple[MessageType, SubType | None], _Compiled] = {
-    (t, s): _Compiled(t, s, tuple((name, FIELD_CHECKS[name]) for name in names))
-    for (t, s), names in TEMPLATES.items()}
-
-# (type line text, sub_type line text or None) -> compiled template
-_BY_WIRE_TEXT: dict[tuple[str, str | None], _Compiled] = {
-    (t.value, s.value if s else None): c for (t, s), c in _COMPILED.items()}
+# (msg_type, sub_type) -> each field name paired with its check
+_CHECKS: dict[tuple[MessageType, SubType | None],
+              tuple[tuple[str, FieldCheck], ...]] = {
+    key: tuple((name, FIELD_CHECKS[name]) for name in names)
+    for key, names in TEMPLATES.items()}
 
 
 def validate_message(m: Message) -> list[ValidationIssue]:
@@ -594,6 +596,21 @@ def validate_message(m: Message) -> list[ValidationIssue]:
 # ---------------------------------------------------------------------------
 # Codec
 
+def _frame_format(msg_type: MessageType, sub_type: SubType | None,
+                  names: tuple[str, ...]) -> str:
+    """A template's frame as a `%` format: message_id and then each field
+    value fill it in order."""
+    lines = [f"type: {msg_type.value}", "message_id: %s"]
+    if sub_type is not None:
+        lines.append(f"sub_type: {sub_type.value}")
+    lines += [f"{name}: %s" for name in names]
+    return "\n".join(lines) + "\n\n"
+
+
+_FRAME_FORMATS: dict[tuple[MessageType, SubType | None], str] = {
+    (t, s): _frame_format(t, s, names) for (t, s), names in TEMPLATES.items()}
+
+
 def serialize_message(m: Message) -> bytes:
     """Lines + one empty terminator line, LF-separated, UTF-8.
 
@@ -604,11 +621,9 @@ def serialize_message(m: Message) -> bytes:
         issues = validate_message(m)
         if issues:
             raise InvalidMessage(issues)
-    lines = [f"type: {m.msg_type.value}", f"message_id: {m.message_id}"]
-    if m.sub_type is not None:
-        lines.append(f"sub_type: {m.sub_type.value}")
-    lines += [f"{k}: {v}" for k, v in m.fields]
-    return ("\n".join(lines) + "\n\n").encode("utf-8")
+    frame = _FRAME_FORMATS[m.msg_type, m.sub_type] % (
+        m.message_id, *[v for _, v in m.fields])
+    return frame.encode("utf-8")
 
 
 # Every line name a template uses; each is a token.
@@ -637,31 +652,74 @@ def _split_lines(data: bytes) -> list[tuple[str, str]]:
     return parsed
 
 
+# The value syntax that a pattern states in full, by field kind: each
+# accepts exactly what the kind's FIELD_CHECKS entry accepts. A value of
+# another kind is any line text, and its check runs on it after the match.
+_VALUE_PATTERNS = {
+    "token": r"[A-Za-z0-9_.-]+",
+    "id": r"[1-9][0-9]*",
+    "port": (r"[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
+             r"|655[0-2][0-9]|6553[0-5]"),
+    "status": r"[1-5][0-9]{2}",
+}
+
+
+class _Pattern(NamedTuple):
+    """One template's whole frame as a regex. Group 1 is the message_id,
+    group i + 2 the value of field i."""
+
+    regex: re.Pattern[str]
+    msg_type: MessageType
+    sub_type: SubType | None
+    names: tuple[str, ...]
+    # (index into the match's groups, check) per field the regex leaves open
+    after: tuple[tuple[int, FieldCheck], ...]
+
+
+def _frame_pattern(msg_type: MessageType, sub_type: SubType | None,
+                   names: tuple[str, ...]) -> _Pattern:
+    """The frame text of the template, with each `%s` replaced by a group
+    for its value."""
+    literals = _FRAME_FORMATS[msg_type, sub_type].split("%s")
+    values = [_VALUE_PATTERNS["id"]] + [
+        _VALUE_PATTERNS.get(FIELD_KINDS[name], ".*") for name in names]
+    regex = "".join(re.escape(literal) + f"({value})"
+                    for literal, value in zip(literals, values))
+    after = tuple((i + 1, FIELD_CHECKS[name]) for i, name in enumerate(names)
+                  if FIELD_KINDS[name] not in _VALUE_PATTERNS)
+    return _Pattern(re.compile(regex + re.escape(literals[-1])), msg_type,
+                    sub_type, names, after)
+
+
+# type line -> the patterns of the templates of that type
+_PATTERNS_BY_TYPE_LINE: dict[str, tuple[_Pattern, ...]] = {}
+for (_t, _s), _names in TEMPLATES.items():
+    _line = f"type: {_t.value}"
+    _PATTERNS_BY_TYPE_LINE.setdefault(_line, ())
+    _PATTERNS_BY_TYPE_LINE[_line] += (_frame_pattern(_t, _s, _names),)
+
+
 def parse_message(data: bytes) -> Message:
     """Parse one framed message; inverse of serialize_message.
 
     Raises WireSyntaxError, UnknownTypeError, or TemplateMismatchError;
     never anything else. The message returned is `checked`.
     """
-    lines = _split_lines(data)
-    n = len(lines)
-    if n > 2 and lines[2][0] == "sub_type":
-        compiled = _BY_WIRE_TEXT.get((lines[0][1], lines[2][1]))
-        start = 3
-    else:
-        compiled = _BY_WIRE_TEXT.get((lines[0][1], None))
-        start = 2
-    if (compiled is not None and n - start == len(compiled.checks)
-            and lines[0][0] == "type" and lines[1][0] == "message_id"
-            and _POSITIVE_INT_RE.match(lines[1][1])):
-        fields = lines[start:]
-        for (name, value), (want, check) in zip(fields, compiled.checks):
-            if name != want or check(value) is not None:
-                break
-        else:
-            return Message(compiled.msg_type, int(lines[1][1]),
-                           compiled.sub_type, tuple(fields), checked=True)
-    _reject(lines)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""  # matches no pattern: _split_lines names the fault
+    for p in _PATTERNS_BY_TYPE_LINE.get(text[:text.find("\n")], ()):
+        match = p.regex.fullmatch(text)
+        if match is None:
+            continue
+        values = match.groups()
+        for i, check in p.after:
+            if check(values[i]) is not None:
+                _reject(_split_lines(data))
+        return Message(p.msg_type, int(values[0]), p.sub_type,
+                       tuple(zip(p.names, values[1:])), checked=True)
+    _reject(_split_lines(data))
 
 
 def _reject(lines: list[tuple[str, str]]) -> NoReturn:

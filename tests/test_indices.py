@@ -11,7 +11,8 @@ from conftest import make_cluster, observe, sent_messages, sweep_scenarios
 from ssmmp import wire
 from ssmmp.harness import invariants
 from ssmmp.harness.runner import run_scenario
-from ssmmp.manager import InstanceState, SessionRecord, SessionState
+from ssmmp.manager import (AgentStatus, InstanceState, SessionRecord,
+                           SessionState)
 from ssmmp.service_runtime import SessionHandle
 from ssmmp.transport import Channel, Endpoint
 from ssmmp.wire import MessageType as MT, SubType as ST
@@ -19,6 +20,24 @@ from ssmmp.wire import MessageType as MT, SubType as ST
 
 def _scanned_open(manager):
     return [s for s in manager.sessions if s.state is not SessionState.CLOSED]
+
+
+def _scanned_isolation(manager):
+    """`invariants.check_isolation` as a scan of `manager.sessions`."""
+    for addr, agent in manager.agents.items():
+        if agent.status is not AgentStatus.ISOLATED:
+            continue
+        for inst in manager.instances.values():
+            if inst.node_address == addr:
+                return invariants.Verdict(
+                    False, "isolation_completeness",
+                    f"{inst.canonical_name} still open on {addr}")
+        for s in manager.sessions:
+            if s.state is not SessionState.CLOSED and s.touches_node(addr):
+                return invariants.Verdict(
+                    False, "isolation_completeness",
+                    f"session {s.key()} still touches {addr}")
+    return invariants.Verdict(True, "isolation_completeness")
 
 
 def _check_indices(manager, net, channels):
@@ -31,13 +50,14 @@ def _check_indices(manager, net, channels):
     assert not manager.instances.keys() & manager.closed_instances.keys()
     open_ = _scanned_open(manager)
     assert list(manager._open_sessions.values()) == open_
+    assert invariants.check_isolation(manager) == _scanned_isolation(manager)
     for inst in manager.instances.values():
         touching = [s for s in open_ if s.touches(inst)]
         assert manager.open_session_count(inst) == len(touching)
         assert manager._open_sessions_of(inst) == touching
     for addr in {s.source_address for s in manager.sessions} \
             | {s.dest_address for s in manager.sessions}:
-        assert list(manager._sessions_by_node.get(addr, {}).values()) == \
+        assert manager.open_sessions_on(addr) == \
             [s for s in open_ if s.touches_node(addr)]
     assert manager._established_keys == {s.key() for s in manager.sessions}
     assert list(net._channels.values()) == [ch for ch in channels

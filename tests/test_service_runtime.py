@@ -1,5 +1,8 @@
 """Runtime SDK: sockets, session handles, close semantics, shutdown, health."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import make_cluster, observe, sent_messages
@@ -140,6 +143,23 @@ def test_peer_close_triggers_dest_side_info(fig1_graph):
     assert len(dest_infos) == 2  # instance -> agent, agent -> Manager
     assert {m.sub_type for m in dest_infos} == {
         ST.DEST_SERVICE_TO_AGENT, ST.AGENT_TO_MANAGER}
+
+
+def test_a_closed_session_is_freed_without_the_cyclic_gc(fig1_graph):
+    net, cluster = _booted(fig1_graph)
+    gc.disable()
+    try:
+        rt = _open(net, cluster)
+        [source] = rt.sessions.values()
+        [dest] = cluster.runtime("B", 1).sessions.values()
+        refs = [weakref.ref(obj) for obj in
+                (source, source.channel, dest, dest.channel)]
+        rt.close_session(source)
+        net.run(until_ms=net.now_ms() + 50)
+        del source, dest
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_handle_close_request_matches_port_tuple(fig1_graph):

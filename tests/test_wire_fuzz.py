@@ -1,6 +1,7 @@
 """Parser totality: arbitrary bytes never crash, and accept/reject agrees
 with the independent grammar recognizer."""
 
+import hashlib
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -63,3 +64,43 @@ def test_truncations_always_rejected_cleanly():
     for data in _valid_corpus():
         for cut in range(len(data)):
             assert not _parser_accepts(data[:cut]) or cut == len(data)
+
+
+def _mutated_frames(seed, count):
+    """`count` golden frames, each with 1-3 random byte edits."""
+    rng = random.Random(seed)
+    corpus = _valid_corpus()
+    alphabet = b"abcZ019_.-:(); \n\x00\xff"
+    for _ in range(count):
+        data = bytearray(rng.choice(corpus))
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            pos = rng.randrange(len(data))
+            if kind == 0:
+                data[pos] = rng.choice(alphabet)
+            elif kind == 1:
+                del data[pos]
+            else:
+                data.insert(pos, rng.choice(alphabet))
+        yield bytes(data)
+
+
+# SHA-256 over the outcome of each mutated frame: "ok", or the class and
+# text of the error. A peer is told that text, so a change to the parser
+# must keep every outcome, not just accept/reject.
+MUTATED_OUTCOMES_SHA256 = (
+    "9c56adeeef8af719510902f02ef40d9e396ec6af408b41d88e3096c9fb3505db")
+
+
+def test_mutated_corpus_outcomes_pinned():
+    digest = hashlib.sha256()
+    for blob in _mutated_frames(25, 20_000):
+        try:
+            m = wire.parse_message(blob)
+        except wire.MessageError as e:
+            outcome = f"{type(e).__name__}: {e}"
+        else:
+            assert wire.serialize_message(m) == blob
+            outcome = "ok"
+        digest.update(outcome.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == MUTATED_OUTCOMES_SHA256
