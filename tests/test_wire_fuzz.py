@@ -104,3 +104,21 @@ def test_mutated_corpus_outcomes_pinned():
             outcome = "ok"
         digest.update(outcome.encode("utf-8") + b"\n")
     assert digest.hexdigest() == MUTATED_OUTCOMES_SHA256
+
+
+def test_parser_accepts_a_value_exactly_when_validation_does():
+    from ssmmp.harness.conformance import golden_messages
+    values = ["0", "1", "9", "10", "99", "100", "599", "600", "999", "9999",
+              "10000", "59999", "60000", "64999", "65000", "65499", "65500",
+              "65529", "65530", "65535", "65536", "99999", "00", "01", "+1",
+              "-1", "", "1 ", "a", "a-b.c_D", "a b", "a:b", "é",
+              "fd00::1", "10.0.0.1", "()", "(a; b)", "((a, 1))"]
+    for _, m in golden_messages():
+        for i, (name, _) in enumerate(m.fields):
+            for value in values:
+                hand = wire.Message(m.msg_type, m.message_id, m.sub_type,
+                                    m.fields[:i] + ((name, value),)
+                                    + m.fields[i + 1:])
+                frame = wire.message_summary(hand).replace(" | ", "\n")
+                assert _parser_accepts(frame.encode("utf-8") + b"\n\n") == (
+                    wire.validate_message(hand) == []), (name, value)
