@@ -68,16 +68,20 @@ def _handle_leak(cluster) -> Verdict:
 
 
 def check_conservation(manager: Manager, cluster, net) -> Verdict:
+    # The manager's open index, and its history less the records it closed.
     established = len(manager.established_sessions())
+    recorded = len(manager.sessions) - manager.closed_session_count
     roles = Counter(h.role for rt in cluster.live_runtimes()
                     for h in rt.sessions.values())
     source_open, dest_open = roles["source"], roles["dest"]
     channels = net.open_data_connections
-    if established == source_open == dest_open == channels:
+    if recorded == established == source_open == dest_open == channels:
         return Verdict(True, "session_conservation", f"n={established}")
-    return Verdict(False, "session_conservation",
-                   f"manager={established} plugs={source_open} "
-                   f"sockets={dest_open} channels={channels}")
+    detail = (f"manager={recorded} plugs={source_open} "
+              f"sockets={dest_open} channels={channels}")
+    if established != recorded:
+        detail += f" index={established}"
+    return Verdict(False, "session_conservation", detail)
 
 
 def check_port_exclusivity(manager: Manager, cluster) -> Verdict:

@@ -217,6 +217,8 @@ class Manager:
             tuple[str, int], dict[SessionKey, SessionRecord]] = {}
         self._sessions_by_node: dict[str, dict[SessionKey, SessionRecord]] = {}
         self._established_keys: set[SessionKey] = set()
+        # How many of `sessions` _close_session has closed; the rest are open.
+        self.closed_session_count = 0
         self.dns = DnsTable()
         self.journal: list[tuple[int, str, str]] = []
         self._ids = wire.IdCounter()
@@ -596,6 +598,7 @@ class Manager:
         key = record.key()
         if self._open_sessions.get(key) is record:  # never-acked: not indexed
             del self._open_sessions[key]
+            self.closed_session_count += 1
             for index, at in self._session_buckets(record):
                 bucket = index.get(at)
                 if bucket is not None:  # source and dest may share a bucket
@@ -829,7 +832,8 @@ class Manager:
                 if r.service == service and r.state is InstanceState.RUNNING]
 
     def established_sessions(self) -> list[SessionRecord]:
-        return [s for s in self.sessions if s.state is SessionState.ESTABLISHED]
+        """The open records, in the order they were established."""
+        return list(self._open_sessions.values())
 
     def open_sessions_on(self, addr: str) -> list[SessionRecord]:
         """The open records that touch node `addr`, in the order they were

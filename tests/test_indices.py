@@ -50,6 +50,9 @@ def _check_indices(manager, net, channels):
     assert not manager.instances.keys() & manager.closed_instances.keys()
     open_ = _scanned_open(manager)
     assert list(manager._open_sessions.values()) == open_
+    assert manager.established_sessions() == [
+        s for s in manager.sessions if s.state is SessionState.ESTABLISHED]
+    assert len(manager.sessions) - manager.closed_session_count == len(open_)
     assert invariants.check_isolation(manager) == _scanned_isolation(manager)
     for inst in manager.instances.values():
         touching = [s for s in open_ if s.touches(inst)]
