@@ -2,7 +2,7 @@
 
 The actors only see a small node-bound environment (listen/connect/timers
 and `call`), so the same assembly runs over the simulated network and over
-loopback TCP. A fabric gives out those environments (`env(addr, name)`),
+loopback TCP. A fabric gives out those environments (`env(addr)`),
 adds nodes and kills them.
 """
 
@@ -32,7 +32,7 @@ class Cluster:
         self.fabric = fabric
         self.graphs = graphs
         fabric.add_node(manager_addr)
-        self.manager = Manager(fabric.env(manager_addr, "manager"), graphs,
+        self.manager = Manager(fabric.env(manager_addr), graphs,
                                manager_config or ManagerConfig())
         self.agents: dict[str, Agent] = {}
         # Every runtime ever spawned, by (service, instance id): the live
@@ -44,8 +44,7 @@ class Cluster:
             repo = {name: self._repo_entry(name, node.behavior)
                     for name in node.repo}
             self.agents[node.addr] = Agent(
-                fabric.env(node.addr, f"agent-{node.addr}"), node.addr,
-                manager_addr, repo,
+                fabric.env(node.addr), node.addr, manager_addr, repo,
                 self._make_spawn(node.addr, agent_config.agent_port),
                 agent_config)
 
@@ -72,7 +71,7 @@ class Cluster:
                 plug_targets=tuple(plugs),
                 plug_sockets=plug_sockets,
                 agent_port=agent_port)
-            env = self.fabric.env(node_addr, f"rt-{service}.{instance_id}")
+            env = self.fabric.env(node_addr)
             rt = ServiceRuntime(env, config, make_behavior(bytecode))
             rt._loop = getattr(env, "loop", None)
             # Bound here, in the agent's exec handler, so that a bind
@@ -98,7 +97,7 @@ class Cluster:
             agent.env.call(agent.mark_dead)
 
     def shutdown(self) -> None:
-        """Stop a fabric that owns threads and sockets (loopback TCP)."""
+        """Stop a fabric that owns a thread and sockets (loopback TCP)."""
         self.fabric.shutdown()
 
     @property

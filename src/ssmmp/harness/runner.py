@@ -5,7 +5,9 @@ reaches a quiescent point (only maintenance ticks and future timeline events
 queued, no pending correlations anywhere) every invariant is checked: the
 live-state checks over the whole cluster, and the trace checks by the run's
 one streaming checker over the records appended since the last quiescent
-point. Any violation fails the run. The report is a pure function of
+point. Any violation fails the run, and so does an exception that an
+actor's callback raises: the run goes on, and the report ends with the
+failed verdict `loop_errors`, as over TCP. The report is a pure function of
 (scenario, seed), byte for byte.
 
 The `Collector` records each control message as the `Message` its sender
@@ -348,6 +350,15 @@ def _is_quiescent(net: SimNetwork, cluster: Cluster) -> bool:
     return not cluster.has_pending()
 
 
+def loop_errors(errors: list[str]) -> list[Verdict]:
+    """The failed verdict `loop_errors` when an actor's callback raised,
+    naming up to three of the `errors`; nothing when none did."""
+    if not errors:
+        return []
+    return [Verdict(False, "loop_errors",
+                    f"{len(errors)} caught: " + "; ".join(errors[:3]))]
+
+
 def scenario_context(scenario: Scenario, fabric, collector=None
                      ) -> RunContext:
     """The scenario's cluster over `fabric`, and a user node to drive it."""
@@ -359,7 +370,7 @@ def scenario_context(scenario: Scenario, fabric, collector=None
                           manager_port=scenario.manager_port))
     fabric.add_node(USER_NODE)
     return RunContext(scenario, cluster, collector,
-                      fabric.env(USER_NODE, "user"),
+                      fabric.env(USER_NODE),
                       trace=invariants.TraceChecker() if collector else None)
 
 
@@ -380,12 +391,16 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
     for ev in scenario.events:
         net.schedule_abs(ev.at_ms, lambda e=ev: execute_event(ctx, e))
 
-    sweeps: list[Verdict] = []
     failed_sweep: list[Verdict] = []
     sweep_count = 0
     last_sweep_mark = -1
+    errors: list[str] = []
     while True:
-        progressed = net.step()
+        try:
+            progressed = net.step()
+        except Exception as e:  # as an ActorLoop over TCP: a verdict
+            errors.append(f"{type(e).__name__}: {e}")
+            progressed = True
         if not progressed:
             break
         mark = net._seq
@@ -412,7 +427,7 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
         Verdict(v.ok, v.name,
                 f"sweeps={sweep_count} {v.detail}".strip()
                 if v.name == "session_conservation" else v.detail)
-        for v in final]
+        for v in final] + loop_errors(errors)
     report.expects = ctx.expects
     return report
 

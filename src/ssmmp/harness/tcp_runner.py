@@ -1,14 +1,15 @@
 """Scenario execution over loopback TCP.
 
-Wall-clock, thread-per-actor, excluded from determinism guarantees. This is
-only the driver: it waits for registration, sleeps until each event's time
-and runs the event through the simulator's interpreter (runner.py), which
-posts every change to the actor's loop. Trace-based checks need the
-deterministic trace and are reported as skipped; the manager-only state
-invariants run once, on the manager's loop, after the settle. Agents that do
-not register in time give the failed verdict `registration`, and no event
-runs. An exception that any actor's loop or the I/O loop caught fails the
-verdict `loop_errors`.
+Wall-clock, run on the fabric's one I/O thread, and excluded from
+determinism guarantees. This is only the driver: it waits for registration,
+sleeps until each event's time and runs the event through the simulator's
+interpreter (runner.py), which posts every change to the actor's loop.
+Trace-based checks need the deterministic trace and are reported as
+skipped; the manager-only state invariants run once, on the manager's loop,
+after the settle. Agents that do not register in time give the failed
+verdict `registration`, and no event runs. An exception that any actor's
+loop or the I/O loop caught adds the failed verdict `loop_errors`, as in
+the simulator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from ..tcp import TcpFabric
 from . import invariants
 from .report import TraceReport, Verdict, manager_snapshot
-from .runner import execute_event, scenario_context
+from .runner import execute_event, loop_errors, scenario_context
 from .scenario import Scenario
 
 SKIPPED_INVARIANTS = ("session_conservation", "knowledge_asymmetry",
@@ -57,17 +58,6 @@ def _await_registration(cluster, timeout_s: float) -> Verdict | None:
                    f"not registered within {timeout_s}s: {', '.join(missing)}")
 
 
-def _loop_errors(fabric) -> Verdict:
-    """Failed when any loop of the run caught an exception; names up to
-    three of them."""
-    errors = [e for loop in fabric._loops for e in loop.errors]
-    errors += fabric._io.errors
-    if not errors:
-        return Verdict(True, "loop_errors")
-    return Verdict(False, "loop_errors",
-                   f"{len(errors)} caught: " + "; ".join(errors[:3]))
-
-
 def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                      register_timeout_s: float = 5.0) -> TraceReport:
     fabric = TcpFabric()
@@ -92,7 +82,8 @@ def run_scenario_tcp(scenario: Scenario, seed: int = 0,
                 for name in SKIPPED_INVARIANTS]
     finally:
         cluster.shutdown()
-    invariants.append(_loop_errors(fabric))
+    invariants += loop_errors(
+        [e for loop in fabric._loops for e in loop.errors] + fabric._io.errors)
     report = TraceReport(scenario.name + "+tcp", seed)
     report.expects = ctx.expects
     report.invariants = invariants

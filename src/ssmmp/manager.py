@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import wire
 from .graph import AbstractGraph, ServiceKind, outgoing_connections
@@ -148,8 +148,6 @@ class DnsTable:
 @dataclass
 class ManagerConfig:
     manager_port: int = 7000
-    # hook(service_name, status) for 429 reports; policy left pluggable
-    scale_hook: Callable[[str, int], None] | None = None
 
 
 @dataclass
@@ -799,10 +797,7 @@ class Manager:
             self._log(f"health report for unknown instance: {status}")
             return
         self._log(f"abnormal health {status} for {instance.canonical_name}")
-        if status == wire.OVERLOADED:
-            if self.config.scale_hook is not None:
-                self.config.scale_hook(instance.service, status)
-            return
+        # An overload (429) is only logged; a 5xx kills the instance.
         if wire.status_class(status) is wire.StatusClass.RESPONDENT_ERROR:
             self.request_hard_shutdown(instance)
 

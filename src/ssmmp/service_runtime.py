@@ -328,10 +328,18 @@ class ServiceRuntime:
         if handle.state != "closed" and self.alive:
             self.close_session(handle)
 
-    def send(self, handle: SessionHandle, payload: bytes) -> None:
+    def send(self, handle: SessionHandle, payload: bytes) -> bool:
+        """Send one payload on a session. False when the session is closed,
+        or when its channel refuses the send, which closes the session as
+        its peer's close would."""
         if handle.state != "open":
-            raise ChannelClosed("session closed")
-        handle.channel.send(frame(payload))
+            return False
+        try:
+            handle.channel.send(frame(payload))
+        except ChannelClosed:
+            self.close_session(handle)
+            return False
+        return True
 
     # -- closing -------------------------------------------------------------
 
@@ -482,9 +490,8 @@ class CascadeBehavior(Behavior):
 
     def _finish(self, rt, task):
         self._tasks.remove(task)
-        upstream = task.upstream
-        if upstream is not None and upstream.state == "open":
-            rt.send(upstream, b"done:" + rt.config.service_name.encode())
+        if task.upstream is not None:
+            rt.send(task.upstream, b"done:" + rt.config.service_name.encode())
 
 
 BEHAVIORS: dict[str, Callable[[], Behavior]] = {

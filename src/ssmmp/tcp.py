@@ -14,16 +14,22 @@ PREAMBLE_TIMEOUT_S, and so does the acceptor for the preamble; a malformed
 one closes the connection. Runs are wall-clock and excluded from
 determinism guarantees.
 
-Threads: each actor owns one ActorLoop thread, and every callback for that
-actor runs there. Each fabric owns one I/O thread, which runs a selector and
-a timer heap. It accepts on every listener, reads the acceptor side of every
-preamble, reads every channel, and fires every timer; what it reads and what
-fires it posts to the owning actor's loop, so per-channel order holds. The
-connector side connects and sends its preamble in the calling actor's
-thread, then hands the socket to the I/O thread. Sends are blocking
-`sendall`s from the actor's thread. Every socket has TCP_NODELAY set, so a
-small message leaves at once rather than waiting out Nagle's algorithm
-behind the peer's delayed ACK.
+One thread: each fabric owns one I/O thread, which runs a selector and a
+timer heap, and every callback of every actor runs there, as every callback
+of a simulated run runs on the simulator's one queue. The thread accepts on
+every listener, reads the acceptor side of every preamble, reads every
+channel and fires every timer, and runs what it reads and what fires
+through the owning actor's `ActorLoop`, which keeps that actor's exceptions
+out of the loop; other threads hand it calls through `ActorLoop.post`.
+Actors connect, send their preambles and write from that thread too.
+Listeners take a backlog of SOMAXCONN, so a burst of connects made in one
+callback waits in the kernel until the thread comes back to accept them.
+Reads never block (MSG_DONTWAIT). A channel socket keeps PREAMBLE_TIMEOUT_S
+as its timeout after connect and accept, so a send that the kernel will not
+take, as to a peer that reads nothing, fails as ChannelClosed after that
+long: a silent peer stalls the loop for at most PREAMBLE_TIMEOUT_S. Every
+socket has TCP_NODELAY set, so a small message leaves at once rather than
+waiting out Nagle's algorithm behind the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -31,12 +37,10 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
-import queue
 import selectors
 import socket
 import threading
 import time
-from functools import partial
 
 from .cluster import Cluster
 from .transport import (EPHEMERAL_END, EPHEMERAL_START, AcceptInfo,
@@ -49,39 +53,23 @@ _HEAP_COMPACT_MIN = 64  # below this many entries, never compact the heap
 
 
 class ActorLoop:
-    """One thread per actor, which runs every callback for that actor in the
-    order it was posted. The fabric's one I/O thread posts the data and
-    closes it reads from the actor's channels and the actor's timers as they
-    come due on its heap; other actors and the scenario runner post calls."""
+    """One actor's handle on its fabric's I/O thread. Every callback for the
+    actor runs there through `run`, so an exception it raises lands in this
+    actor's `errors` and the thread goes on; `post` queues a call from any
+    thread, in order."""
 
-    def __init__(self, name: str):
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+    def __init__(self, io: _IoLoop):
+        self._io = io
         self.errors: list[str] = []
-        self._thread.start()
 
     def post(self, fn) -> None:
-        self._queue.put(fn)
+        self._io.call_soon(lambda: self.run(fn))
 
-    def _run(self) -> None:
-        while True:
-            fn = self._queue.get()
-            if fn is None:
-                return
-            try:
-                fn()
-            except Exception as e:  # keep the loop alive; surface in errors
-                self.errors.append(f"{type(e).__name__}: {e}")
-
-    def stop(self) -> None:
-        self._queue.put(None)
-
-
-def _run_if_alive(timer: Timer, fn) -> None:
-    """A timer's callback, on its actor's loop; a cancel that came first,
-    even after the deadline, still wins."""
-    if timer.alive:
-        fn()
+    def run(self, fn, *args) -> None:
+        try:
+            fn(*args)
+        except Exception as e:  # keep the loop alive; surface in errors
+            self.errors.append(f"{type(e).__name__}: {e}")
 
 
 def _shut(sock: socket.socket) -> None:
@@ -143,9 +131,9 @@ class _IoLoop:
 
     def call_later(self, delay_s: float, fn, loop: ActorLoop | None = None,
                    period_s: float | None = None) -> Timer:
-        """After `delay_s`, post `fn` to `loop` (or run it on the I/O thread
-        when `loop` is None), then again every `period_s` if given, until the
-        returned Timer is cancelled."""
+        """After `delay_s`, run `fn` through `loop` (or bare when `loop` is
+        None) on the I/O thread, then again every `period_s` if given, until
+        the returned Timer is cancelled."""
         timer = Timer()
         self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
         return timer
@@ -238,7 +226,7 @@ class _IoLoop:
             if loop is None:
                 fn()
             else:
-                loop.post(partial(_run_if_alive, timer, fn))
+                loop.run(fn)
             if period_s is not None:
                 self._push(now + period_s, timer, loop, fn, period_s)
 
@@ -260,11 +248,12 @@ class _IoLoop:
 
 
 class TcpChannel(ChannelEnd):
-    """One end of a connection. The I/O thread reads it and posts what it
-    reads to the owning actor's loop; `send` writes from the caller's thread.
-    The socket is closed on the I/O thread once either end has closed; the
-    connecting end then hands the logical session port it picked on the
-    peer's node back to the fabric. The accepted end holds no port."""
+    """One end of a connection. The I/O thread reads it and runs what it
+    reads through the owning actor's loop; `send` writes within the socket's
+    timeout. The socket is closed on the I/O thread once either end has
+    closed; the connecting end then hands the logical session port it
+    picked on the peer's node back to the fabric. The accepted end holds no
+    port."""
 
     def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
                  local: Endpoint, remote: Endpoint, kind: str,
@@ -273,16 +262,14 @@ class TcpChannel(ChannelEnd):
         self._fabric = fabric
         self._sock = sock
         self._loop = loop
-        self._send_lock = threading.Lock()
         self._session_port = session_port
 
     def send(self, data: bytes, msg=None) -> None:
         if not self._open:
             raise ChannelClosed(str(self.remote))
         try:
-            with self._send_lock:
-                self._sock.sendall(data)
-        except OSError as e:
+            self._sock.sendall(data)
+        except OSError as e:  # reset, or not taken within the timeout
             self._drop()
             self._drop_handlers()
             raise ChannelClosed(str(e)) from e
@@ -302,8 +289,7 @@ class TcpChannel(ChannelEnd):
         free the session port it picked (once, though `_drop` may race
         `close`)."""
         self._fabric._io.unregister(self._sock)
-        with self._send_lock:
-            self._sock.close()
+        self._sock.close()
         port, self._session_port = self._session_port, None
         if port is not None:
             self._fabric.free_session_port(self.remote.addr, port)
@@ -314,10 +300,10 @@ class TcpChannel(ChannelEnd):
         if data is None:
             return
         if data:
-            self._loop.post(partial(self._arrive, data))
+            self._loop.run(self._arrive, data)
             return
         self._fabric._io.unregister(self._sock)
-        self._loop.post(self._closed_by_peer)
+        self._loop.run(self._closed_by_peer)
 
     def _closed_by_peer(self) -> None:
         if self._open:
@@ -358,7 +344,7 @@ class _TcpListener:
             except OSError:  # shut down: stop watching it
                 self._fabric._io.unregister(self._sock)
                 return
-            conn.setblocking(True)
+            conn.settimeout(PREAMBLE_TIMEOUT_S)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             _Handshake(self, conn, peer)
 
@@ -373,9 +359,9 @@ class _TcpListener:
                              self._kind)
         fabric._track(fabric._channels, channel)
         info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
-        env.loop.post(partial(self._on_accept, channel, info))
+        env.loop.run(self._on_accept, channel, info)
         if rest:
-            env.loop.post(partial(channel._arrive, rest))
+            env.loop.run(channel._arrive, rest)
         fabric._io.register(conn, channel._on_readable)
 
 
@@ -470,14 +456,10 @@ class TcpFabric:
             self._ip_to_addr[ip] = addr
             self._session_ports[addr] = PortPool(EPHEMERAL_START, EPHEMERAL_END)
 
-    def env(self, addr: str, name: str) -> TcpEnv:
-        """A node-bound environment on a new ActorLoop thread `name`."""
-        loop = ActorLoop(name)
-        with self._lock:
-            stopped = self._stopped
-            self._loops.append(loop)
-        if stopped:
-            loop.stop()
+    def env(self, addr: str) -> TcpEnv:
+        """A node-bound environment with a new ActorLoop."""
+        loop = ActorLoop(self._io)
+        self._loops.append(loop)
         return TcpEnv(self, addr, loop)
 
     def ip(self, addr: str) -> str:
@@ -534,8 +516,6 @@ class TcpFabric:
             items = [*self._listeners, *self._channels]
         for item in items:
             item.close()
-        for loop in self._loops:
-            loop.stop()
         self._io.stop()
 
 
@@ -548,7 +528,8 @@ class TcpEnv:
         self.loop = loop
 
     def call(self, fn) -> None:
-        """Run `fn` in the actor's context: posted to its loop."""
+        """Run `fn` in the actor's context: posted to its loop, to run on
+        the I/O thread."""
         self.loop.post(fn)
 
     def now_ms(self) -> int:
@@ -575,7 +556,7 @@ class TcpEnv:
         except OSError as e:
             sock.close()
             raise PortInUse(f"{self.addr}:{port}") from e
-        sock.listen(16)
+        sock.listen(socket.SOMAXCONN)
         sock.setblocking(False)
         listener = _TcpListener(self, Endpoint(self.addr, port), sock,
                                 on_accept, kind)
@@ -601,7 +582,6 @@ class TcpEnv:
             sock.connect((dst_ip, dst.port))
             sock.sendall(_encode_meta({**(meta or {}),
                                        "session": session_port}))
-            sock.settimeout(None)
         except OSError as e:
             sock.close()
             fabric.free_session_port(dst.addr, session_port)
@@ -618,7 +598,7 @@ class TcpEnv:
 
 def build_tcp_cluster(graphs, manager_addr, nodes,
                       manager_config=None, agent_config=None) -> Cluster:
-    """Assemble the same actors as the simulation, threaded over loopback."""
+    """Assemble the same actors as the simulation, over loopback."""
     cluster = Cluster(TcpFabric(), graphs, manager_addr, nodes,
                       manager_config, agent_config)
     cluster.start()

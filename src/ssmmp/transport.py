@@ -526,9 +526,8 @@ class SimNetwork:
         peer = ch._peer
         self._after_channel(ch, lambda: peer._deliver(data))
 
-    def env(self, addr: str, name: str = "") -> SimEnv:
-        """The node-bound environment of one actor. `name` is unused: every
-        actor shares the one simulation thread."""
+    def env(self, addr: str) -> SimEnv:
+        """The node-bound environment of one actor."""
         return SimEnv(self, addr)
 
 

@@ -36,7 +36,7 @@ class _Tcp:
 
     def env(self, addr):
         self.fabric.add_node(addr)
-        return self.fabric.env(addr, f"test-{addr}")
+        return self.fabric.env(addr)
 
     def settle(self, pred, timeout=8.0):
         deadline = time.monotonic() + timeout

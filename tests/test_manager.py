@@ -616,19 +616,15 @@ def test_faulty_health_report_triggers_hard_shutdown(fig1_graph):
     assert all(s.state is SessionState.CLOSED for s in manager.sessions)
 
 
-def test_overload_report_hits_scale_hook(fig1_graph):
-    calls = []
-    from ssmmp.manager import ManagerConfig
-    net, cluster = make_cluster(
-        fig1_graph, [("fd00::a1", ["A", "B"])],
-        manager_config=ManagerConfig(scale_hook=lambda svc, code:
-                                     calls.append((svc, code))))
+def test_overload_report_is_logged_and_keeps_the_instance(fig1_graph):
+    net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A", "B"])])
     manager = cluster.manager
     manager.start_app()
     net.run(until_ms=net.now_ms() + 30)
     cluster.runtime("A", 1).behavior.load_threshold = -1  # always overloaded
     net.run(until_ms=net.now_ms() + 5000)
-    assert ("A", wire.OVERLOADED) in calls
+    assert (f"abnormal health {wire.OVERLOADED} for A.1"
+            in [text for _t, _kind, text in manager.journal])
     assert manager.instances[("A", 1)].state is InstanceState.RUNNING
 
 

@@ -4,6 +4,7 @@ from conftest import FIXTURES
 
 from ssmmp import wire
 from ssmmp.harness import run_scenario_file
+from ssmmp.harness.generator import generate_scenario
 from ssmmp.harness.runner import run_scenario
 from ssmmp.harness.scenario import load_scenario
 from ssmmp.transport import SimNetwork
@@ -113,6 +114,16 @@ def test_health_fault_and_a_broken_link_fail_only_what_they_touch(
     assert report.ok, "\n".join(
         v.render() for v in report.invariants + report.expects if not v.ok)
     assert [v.ok for v in report.expects] == [True] * 4
+
+
+def test_a_cascade_under_a_broken_link_passes():
+    """Seed 73000439 of the `mixed` profile breaks a link under a cascade's
+    open session. The refused send closes that session, and the run passes
+    every verdict instead of ending in an exception."""
+    report = run_scenario(
+        generate_scenario(73000439, "mixed", max_sessions=60), 73000439)
+    assert report.ok, "\n".join(
+        v.render() for v in report.invariants + report.expects if not v.ok)
 
 
 def test_seed_changes_interleaving_not_outcome():

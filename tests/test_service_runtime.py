@@ -131,6 +131,29 @@ def test_close_session_emits_one_info_even_if_closed_twice(fig1_graph):
         handle.params["source_plug_port"])
 
 
+def test_a_send_the_link_refuses_closes_the_session(fig1_graph):
+    """A send on a broken link returns False and closes the session, close
+    info included; a send on a closed session returns False."""
+    net, cluster = make_cluster(fig1_graph, [("fd00::a1", ["A"]),
+                                             ("fd00::a2", ["B"])])
+    cluster.manager.start_app()
+    net.run(until_ms=net.now_ms() + 30)
+    rt = _open(net, cluster)
+    [handle] = rt.sessions.values()
+    assert handle.params["dest_service_instance_network_address"] == "fd00::a2"
+    assert rt.send(handle, b"task:A")
+    collector = observe(net)
+    net.break_link("fd00::a1", "fd00::a2")
+    assert not rt.send(handle, b"task:A")
+    assert handle.state == "closed" and not rt.sessions
+    assert not rt.send(handle, b"task:A")
+    net.run(until_ms=net.now_ms() + 30)
+    infos = [m for m in sent_messages(collector)
+             if m.msg_type is MT.SOURCE_SESSION_CLOSE_INFO]
+    assert [m.sub_type for m in infos] == [ST.SOURCE_SERVICE_TO_AGENT,
+                                           ST.AGENT_TO_MANAGER]
+
+
 def test_peer_close_triggers_dest_side_info(fig1_graph):
     net, cluster = _booted(fig1_graph)
     collector = observe(net)

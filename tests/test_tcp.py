@@ -19,10 +19,22 @@ from ssmmp.harness.scenario import load_scenario, parse_scenario_text
 from ssmmp.harness.tcp_runner import run_scenario_tcp
 from ssmmp.manager import Manager, SessionState
 from ssmmp.service_runtime import ServiceRuntime
-from ssmmp.tcp import (PREAMBLE_TIMEOUT_S, TcpEnv, TcpFabric,
+from ssmmp.tcp import (PREAMBLE_TIMEOUT_S, ActorLoop, TcpEnv, TcpFabric,
                        build_tcp_cluster)
-from ssmmp.transport import EPHEMERAL_START, ConnectionRefused, Endpoint
-from ssmmp.wire import MessageType as MT
+from ssmmp.transport import (EPHEMERAL_START, ConnectionRefused, Endpoint,
+                             send_message)
+from ssmmp.wire import MessageType as MT, SubType as ST
+
+
+def _running_loop():
+    """The ActorLoop whose `run` is innermost on the calling stack: the
+    actor the current callback belongs to."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code is ActorLoop.run.__code__:
+            return frame.f_locals["self"]
+        frame = frame.f_back
+    return None
 
 
 def _wait(pred, timeout=8.0, poll=0.02):
@@ -149,7 +161,7 @@ def test_hard_shutdown_kills_on_the_runtimes_own_loop(fig1, monkeypatch):
     kill = ServiceRuntime.kill
 
     def recorded_kill(rt):
-        killers.append(threading.current_thread())
+        killers.append(_running_loop())
         kill(rt)
 
     monkeypatch.setattr(ServiceRuntime, "kill", recorded_kill)
@@ -161,7 +173,7 @@ def test_hard_shutdown_kills_on_the_runtimes_own_loop(fig1, monkeypatch):
         cluster.manager_loop.post(lambda: manager.request_hard_shutdown(record))
         assert _wait(lambda: rt.state == "killed")
         assert _wait(lambda: ("A", 1) not in cluster.agents["fd00::a1"].instances)
-        assert killers == [rt._loop._thread]
+        assert killers == [rt._loop]
         errors = [e for loop in cluster.fabric._loops for e in loop.errors]
         assert errors == []
     finally:
@@ -176,7 +188,7 @@ def test_each_runtime_dials_its_agent_from_its_own_loop(fig1, monkeypatch):
     def recorded_connect(env, dst, kind="data", meta=None):
         if meta and "instance" in meta:
             dials.append((meta["service"], int(meta["instance"]),
-                          threading.current_thread()))
+                          _running_loop()))
         return connect(env, dst, kind, meta)
 
     monkeypatch.setattr(TcpEnv, "connect", recorded_connect)
@@ -185,8 +197,8 @@ def test_each_runtime_dials_its_agent_from_its_own_loop(fig1, monkeypatch):
         cluster.manager_loop.post(lambda: cluster.manager.execute_instance("B"))
         assert _wait(lambda: len(dials) == 2)
         assert [(svc, iid) for svc, iid, _t in dials] == [("A", 1), ("B", 1)]
-        for svc, iid, thread in dials:
-            assert thread is cluster.runtimes[(svc, iid)]._loop._thread
+        for svc, iid, loop in dials:
+            assert loop is cluster.runtimes[(svc, iid)]._loop
         errors = [e for loop in cluster.fabric._loops for e in loop.errors]
         assert errors == []
     finally:
@@ -224,8 +236,8 @@ def test_exec_on_a_port_bound_outside_the_fabric_answers_409(fig1,
         cluster.shutdown()
 
 def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):
-    """The peak thread count is fixed at the main thread, the fabric's one
-    I/O thread and one ActorLoop per actor, however many sessions run."""
+    """A fabric starts exactly one thread, its I/O thread, however many
+    actors and sessions run."""
     counts: list[int] = []
     start = threading.Thread.start
 
@@ -244,13 +256,79 @@ def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):
             _open_close_pairs(cluster, pairs)
             counts.append(threading.active_count())
             peak = max(counts)
-            assert peak <= len(before) + 1 + len(cluster.fabric._loops), \
+            assert peak == len(before) + 1, \
                 [t.name for t in threading.enumerate()]
             peaks.append(peak)
         finally:
             cluster.shutdown()
         assert _wait(lambda: set(threading.enumerate()) <= before)
     assert peaks[0] == peaks[1]
+
+
+def test_a_burst_of_opens_in_one_callback_all_establish(fig1):
+    """500 opens posted from A.1 in one callback all establish at the
+    manager within 2 s, and no pending session expires: the listener's
+    backlog holds every connect the burst makes until the loop accepts."""
+    cluster = _booted_fig1_cluster(fig1)
+    try:
+        _open_close_pairs(cluster, 1)  # the first session spawns B.1
+        manager = cluster.manager
+        rt = cluster.runtimes[("A", 1)]
+        rt._loop.post(lambda: [rt.open_session("P") for _ in range(500)])
+        assert _wait(lambda: len(manager.established_sessions()) == 500,
+                     timeout=2.0, poll=0.01), \
+            len(manager.established_sessions())
+        journal = list(manager.journal)
+        assert not [text for _t, _kind, text in journal
+                    if "expired without ack" in text]
+        assert [e for loop in cluster.fabric._loops for e in loop.errors] == []
+    finally:
+        cluster.shutdown()
+
+
+def test_a_send_to_a_peer_that_reads_nothing_fails_after_the_timeout(
+        monkeypatch):
+    """A send the kernel will not take, to a socket outside the fabric that
+    never reads, returns False after PREAMBLE_TIMEOUT_S, and the sender's
+    loop goes on to its next post."""
+    monkeypatch.setattr(ssmmp.tcp, "PREAMBLE_TIMEOUT_S", 0.3)
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    fabric.add_node("fd00::a2")
+    server = socket.create_server((fabric.ip("fd00::a2"), 7000))
+    env = fabric.env("fd00::a1")
+    msg = wire.make_message(
+        MT.SOURCE_SESSION_CLOSE_INFO, 1, ST.SOURCE_SERVICE_TO_AGENT,
+        source_service_name="A", source_service_instance_network_address=
+        "fd00::a1", source_service_instance_id=1, source_plug_name="P",
+        source_plug_port=40000, dest_service_name="B",
+        dest_service_instance_network_address="fd00::a2",
+        dest_socket_name="S", dest_socket_port=20000,
+        dest_socket_new_port=40001)
+    done = threading.Event()
+    result = {}
+
+    def flood():
+        channel, _m, _l = env.connect(Endpoint("fd00::a2", 7000))
+        sent = 0
+        while True:
+            t0 = time.monotonic()
+            if not send_message(channel, msg):
+                break
+            sent += 1
+        result.update(sent=sent, refused_after=time.monotonic() - t0,
+                      open=channel.is_open)
+        env.call(done.set)
+
+    try:
+        env.call(flood)
+        assert done.wait(10), "the sender's loop is stuck in a send"
+        assert result["sent"] > 0 and not result["open"]
+        assert 0.3 * 0.9 <= result["refused_after"] < 0.3 + 0.7, result
+        assert fabric._loops[0].errors == [] and fabric._io.errors == []
+    finally:
+        server.close()
+        fabric.shutdown()
 
 
 def test_closed_channels_leave_the_fabric(fig1):
@@ -317,7 +395,7 @@ def acceptor():
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
     accepted = []
-    fabric.env("fd00::a1", "acceptor").listen(
+    fabric.env("fd00::a1").listen(
         7000, lambda channel, info: accepted.append(info))
     yield fabric, accepted
     fabric.shutdown()
@@ -383,7 +461,7 @@ def test_silent_connector_is_closed_after_preamble_timeout(acceptor):
 def test_both_ends_of_a_channel_set_nodelay(acceptor):
     fabric, accepted = acceptor
     fabric.add_node("fd00::a2")
-    channel, _m, _l = fabric.env("fd00::a2", "connector").connect(
+    channel, _m, _l = fabric.env("fd00::a2").connect(
         Endpoint("fd00::a1", 7000))
     try:
         assert _wait(lambda: len(accepted) == 1)
@@ -399,7 +477,7 @@ def test_both_ends_of_a_channel_set_nodelay(acceptor):
 def test_timers_fire_in_deadline_order_until_cancelled():
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
-    env = fabric.env("fd00::a1", "timers")
+    env = fabric.env("fd00::a1")
     fired: list = []
     def schedule():
         # On the actor's loop, as actors do: no fire can run in between.
@@ -428,7 +506,7 @@ def test_timers_from_many_threads_fire_once_unless_cancelled():
     and fire none twice; a cancelled one never fires."""
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
-    env = fabric.env("fd00::a1", "timers")
+    env = fabric.env("fd00::a1")
     fired: list[tuple[int, int]] = []
     cancelled: set[tuple[int, int]] = set()
 
@@ -470,7 +548,7 @@ def test_connect_waits_for_nothing_from_the_acceptor():
     fabric.add_node("fd00::a1")
     fabric.add_node("fd00::a2")
     server = socket.create_server((fabric.ip("fd00::a2"), 7000))
-    env = fabric.env("fd00::a1", "connector")
+    env = fabric.env("fd00::a1")
     done = threading.Event()
     times = {}
 
@@ -510,7 +588,7 @@ def test_connect_to_a_full_accept_queue_is_refused_after_the_timeout(
     try:
         t0 = time.monotonic()
         with pytest.raises(ConnectionRefused):
-            fabric.env("fd00::a1", "connector").connect(
+            fabric.env("fd00::a1").connect(
                 Endpoint("fd00::a2", 7000))
         assert time.monotonic() - t0 < 0.3 + 0.5
         assert pool.available() == available
@@ -533,7 +611,7 @@ def test_connect_with_no_session_port_left_sends_nothing():
         pass
     try:
         with pytest.raises(ConnectionRefused):
-            fabric.env("fd00::a1", "connector").connect(
+            fabric.env("fd00::a1").connect(
                 Endpoint("fd00::a2", 7000))
         with pytest.raises(BlockingIOError):
             server.accept()
@@ -543,6 +621,9 @@ def test_connect_with_no_session_port_left_sends_nothing():
 
 
 def test_a_loop_exception_fails_the_tcp_run(monkeypatch):
+    """The same raising handler ends in the same failed verdict on both
+    fabrics: over TCP the actor's loop catches it, in the simulator the
+    scenario driver does. A run without one carries no `loop_errors`."""
     raised = []
     handle_execution_request = Agent.handle_execution_request
 
@@ -552,9 +633,14 @@ def test_a_loop_exception_fails_the_tcp_run(monkeypatch):
             raised.append(msg)
             raise RuntimeError("injected exec failure")
 
+    scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
+    assert "loop_errors" not in [v.name for v in run_scenario(scenario, 0)
+                                 .invariants]
     monkeypatch.setattr(Agent, "handle_execution_request", raise_once)
-    report = run_scenario_tcp(load_scenario(FIXTURES / "fig1_boot.scenario"))
-    assert raised
-    [verdict] = [v for v in report.invariants if v.name == "loop_errors"]
-    assert not verdict.ok
-    assert "RuntimeError: injected exec failure" in verdict.detail
+    for run in (run_scenario, run_scenario_tcp):
+        raised.clear()
+        report = run(scenario, 0)
+        assert raised
+        [verdict] = [v for v in report.invariants if v.name == "loop_errors"]
+        assert not verdict.ok
+        assert verdict.detail == "1 caught: RuntimeError: injected exec failure"
