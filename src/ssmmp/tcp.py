@@ -27,7 +27,10 @@ callback waits in the kernel until the thread comes back to accept them.
 Reads never block (MSG_DONTWAIT). A channel socket keeps PREAMBLE_TIMEOUT_S
 as its timeout after connect and accept, so a send that the kernel will not
 take, as to a peer that reads nothing, fails as ChannelClosed after that
-long: a silent peer stalls the loop for at most PREAMBLE_TIMEOUT_S. Every
+long: a silent peer stalls the loop for at most PREAMBLE_TIMEOUT_S. As this
+thread reads every peer in the fabric too, one callback's write to one is
+bounded by the kernel's socket buffers (some MB), and its connects by the
+listen backlog: past them, each waits PREAMBLE_TIMEOUT_S and fails. Every
 socket has TCP_NODELAY set, so a small message leaves at once rather than
 waiting out Nagle's algorithm behind the peer's delayed ACK.
 """
@@ -138,9 +141,10 @@ class _IoLoop:
         self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
         return timer
 
-    def stop(self) -> None:
-        """End the I/O thread; it closes every socket still registered."""
-        self.call_soon(self._halt)
+    def stop(self, last) -> None:
+        """End the I/O thread in one callback that runs `last`, so no read,
+        accept or timer runs after it; it closes every socket still open."""
+        self.call_soon(lambda: self._halt(last))
         if threading.current_thread() is not self._thread:
             self._thread.join(timeout=5.0)
 
@@ -185,8 +189,11 @@ class _IoLoop:
         except OSError:
             pass
 
-    def _halt(self) -> None:
+    def _halt(self, last) -> None:
         self._running = False
+        with self._lock:
+            self._timers.clear()
+        last()
 
     def _timeout(self) -> float | None:
         with self._lock:
@@ -511,12 +518,16 @@ class TcpFabric:
             item.close()
 
     def shutdown(self) -> None:
+        """Close every listener and channel and stop the I/O thread in one
+        callback, so no actor runs after: its tables stay as the run left them."""
+        self._io.stop(self._close_tracked)
+
+    def _close_tracked(self) -> None:
         with self._lock:
             self._stopped = True
             items = [*self._listeners, *self._channels]
         for item in items:
             item.close()
-        self._io.stop()
 
 
 class TcpEnv:

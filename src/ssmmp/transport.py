@@ -355,10 +355,12 @@ class SimNetwork:
 
     def schedule_repeating(self, period_ms: int, fn, tag: str = "tick") -> Timer:
         def fire():
-            fn()
-            nxt = self._now + period_ms
-            if timer.alive and (self.horizon_ms is None or nxt <= self.horizon_ms):
-                self._push(nxt, tie, timer)
+            try:
+                fn()
+            finally:  # a tick that raised keeps its period, as over TCP
+                nxt = self._now + period_ms
+                if timer.alive and (self.horizon_ms is None or nxt <= self.horizon_ms):
+                    self._push(nxt, tie, timer)
 
         timer = _SimTimer(self._pending, fire, tag)
         tie = self._rng.random()

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIXTURES
 
+import ssmmp.manager
 import ssmmp.tcp
 from ssmmp import wire
 from ssmmp.agent import Agent
@@ -24,6 +25,9 @@ from ssmmp.tcp import (PREAMBLE_TIMEOUT_S, ActorLoop, TcpEnv, TcpFabric,
 from ssmmp.transport import (EPHEMERAL_START, ConnectionRefused, Endpoint,
                              send_message)
 from ssmmp.wire import MessageType as MT, SubType as ST
+
+sys.path.insert(0, str(FIXTURES.parent / "tools"))
+import tcp_burst  # noqa: E402
 
 
 def _running_loop():
@@ -265,25 +269,32 @@ def test_thread_count_does_not_grow_with_sessions(fig1, monkeypatch):
     assert peaks[0] == peaks[1]
 
 
-def test_a_burst_of_opens_in_one_callback_all_establish(fig1):
-    """500 opens posted from A.1 in one callback all establish at the
-    manager within 2 s, and no pending session expires: the listener's
-    backlog holds every connect the burst makes until the loop accepts."""
+def test_a_burst_of_opens_in_one_callback_all_establish():
+    """500 opens posted from A.1 in one callback (`tools/tcp_burst.py`) all
+    establish at the manager within 2 s, and no pending session expires:
+    the listener's backlog holds every connect the burst makes until the
+    loop accepts."""
+    result = tcp_burst.burst(500)
+    assert result["established at manager"] == 500, result
+    assert result["expired pending sessions"] == 0, result
+    assert result["loop errors"] == 0, result
+    assert result["seconds"] < 2.0, result
+
+
+def test_shutdown_leaves_the_managers_sessions_open(fig1):
+    """The fabric closes its channels and stops its thread in one callback
+    on that thread, so no actor runs on a peer's close: the manager still
+    holds every session the run left open."""
     cluster = _booted_fig1_cluster(fig1)
+    manager = cluster.manager
     try:
         _open_close_pairs(cluster, 1)  # the first session spawns B.1
-        manager = cluster.manager
         rt = cluster.runtimes[("A", 1)]
-        rt._loop.post(lambda: [rt.open_session("P") for _ in range(500)])
-        assert _wait(lambda: len(manager.established_sessions()) == 500,
-                     timeout=2.0, poll=0.01), \
-            len(manager.established_sessions())
-        journal = list(manager.journal)
-        assert not [text for _t, _kind, text in journal
-                    if "expired without ack" in text]
-        assert [e for loop in cluster.fabric._loops for e in loop.errors] == []
+        rt._loop.post(lambda: [rt.open_session("P") for _ in range(300)])
+        assert _wait(lambda: len(manager.established_sessions()) == 300)
     finally:
         cluster.shutdown()
+    assert len(manager.established_sessions()) == 300
 
 
 def test_a_send_to_a_peer_that_reads_nothing_fails_after_the_timeout(
@@ -644,3 +655,26 @@ def test_a_loop_exception_fails_the_tcp_run(monkeypatch):
         [verdict] = [v for v in report.invariants if v.name == "loop_errors"]
         assert not verdict.ok
         assert verdict.detail == "1 caught: RuntimeError: injected exec failure"
+
+
+def test_a_tick_that_raises_keeps_its_period(monkeypatch):
+    """A repeating timer whose callback raised fires again on both fabrics,
+    and the run fails `loop_errors` with that one exception."""
+    ticks = []
+    idle_tick = Manager.idle_tick
+
+    def raise_once(manager):
+        ticks.append(manager)
+        if len(ticks) == 1:
+            raise RuntimeError("injected tick failure")
+        return idle_tick(manager)
+
+    monkeypatch.setattr(ssmmp.manager, "IDLE_POLL_MS", 100)
+    monkeypatch.setattr(Manager, "idle_tick", raise_once)
+    scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
+    for run in (run_scenario, run_scenario_tcp):
+        ticks.clear()
+        report = run(scenario, 0)
+        assert len(ticks) >= 3, run
+        [verdict] = [v for v in report.invariants if v.name == "loop_errors"]
+        assert verdict.detail == "1 caught: RuntimeError: injected tick failure"

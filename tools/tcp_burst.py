@@ -1,17 +1,18 @@
 """Open a burst of sessions over loopback TCP and count what establishes.
 
-    python3 tools/tcp_burst.py N [--timeout S]
+    python3 tools/tcp_burst.py N
 
 Builds the `fixtures/fig1.graph` cluster on a `TcpFabric` (the manager on
 fd00::1, one agent with A and B on fd00::a1), spawns B.1 with one open and
 close of A.1's plug P, then posts N opens of P from A.1 in one callback. It
-waits until the manager holds N open sessions, or for S seconds (default
-10, past the manager's 5 s wait for an ack), and prints:
+waits until the manager holds N open sessions, or for TIMEOUT_S (10 s, past
+the manager's 5 s wait for an ack), and prints:
 
 - the sessions established at the runtime (A.1's `on_established` calls)
   and at the manager (its open records);
 - the pending sessions that expired without an ack, and the acks that came
   too late, from the manager's journal;
+- the exceptions the actors' loops caught;
 - the seconds from the post to the last established session, or to the
   timeout.
 
@@ -35,6 +36,7 @@ from ssmmp.graph import parse_graph_file  # noqa: E402
 from ssmmp.tcp import build_tcp_cluster  # noqa: E402
 
 POLL_S = 0.001
+TIMEOUT_S = 10.0
 
 
 def _wait(pred, timeout_s: float) -> bool:
@@ -50,7 +52,7 @@ def _journal_count(manager, text: str) -> int:
     return sum(text in line for _t, _kind, line in list(manager.journal))
 
 
-def burst(n: int, timeout_s: float) -> dict[str, float]:
+def burst(n: int) -> dict[str, float]:
     graph = parse_graph_file((ROOT / "fixtures" / "fig1.graph").read_text())
     cluster = build_tcp_cluster([graph], "fd00::1",
                                 [NodeDef("fd00::a1", ["A", "B"])])
@@ -78,8 +80,7 @@ def burst(n: int, timeout_s: float) -> dict[str, float]:
             rt.open_session(
                 "P", on_established=lambda _rt, h: established.append(h))
             for _ in range(n)])
-        _wait(lambda: len(manager.established_sessions()) >= n, timeout_s)
-        # Counted before the shutdown, whose closes the loop still serves.
+        _wait(lambda: len(manager.established_sessions()) >= n, TIMEOUT_S)
         return {
             "established at runtime": len(established),
             "established at manager": len(manager.established_sessions()),
@@ -87,6 +88,8 @@ def burst(n: int, timeout_s: float) -> dict[str, float]:
                 manager, "expired without ack"),
             "late acks": _journal_count(manager,
                                         "ack without pending session"),
+            "loop errors": sum(len(loop.errors)
+                               for loop in cluster.fabric._loops),
             "seconds": round(time.monotonic() - t0, 3),
         }
     finally:
@@ -97,10 +100,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="Post N session opens in one callback over loopback TCP.")
     parser.add_argument("n", type=int, help="opens to post")
-    parser.add_argument("--timeout", type=float, default=10.0,
-                        help="seconds to wait for the manager (default 10)")
     args = parser.parse_args(argv)
-    result = burst(args.n, args.timeout)
+    result = burst(args.n)
     for name, value in result.items():
         print(f"{name}: {value}")
     return 0 if result["established at manager"] == args.n else 1
