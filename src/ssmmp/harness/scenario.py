@@ -89,9 +89,8 @@ class Scenario:
 
 
 def _service_args(ev: ScenarioEvent) -> list[str]:
-    if ev.kind in ("user_request", "exec_instance", "kill_instance"):
-        return [ev.args[0].split(".")[0]]
-    if ev.kind in ("open_session", "close_session", "set_health"):
+    if ev.kind in ("user_request", "exec_instance", "kill_instance",
+                   "open_session", "close_session", "set_health"):
         return [ev.args[0].split(".")[0]]
     return []
 

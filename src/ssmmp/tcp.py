@@ -14,14 +14,19 @@ PREAMBLE_TIMEOUT_S, and so does the acceptor for the preamble; a malformed
 one closes the connection. Runs are wall-clock and excluded from
 determinism guarantees.
 
-One thread: each fabric owns one I/O thread, which runs a selector and a
-timer heap, and every callback of every actor runs there, as every callback
-of a simulated run runs on the simulator's one queue. The thread accepts on
-every listener, reads the acceptor side of every preamble, reads every
-channel and fires every timer, and runs what it reads and what fires
-through the owning actor's `ActorLoop`, which keeps that actor's exceptions
-out of the loop; other threads hand it calls through `ActorLoop.post`.
-Actors connect, send their preambles and write from that thread too.
+One owner thread: each fabric owns one I/O thread, which runs a selector
+and a timer heap, and every callback of every actor runs there, as every
+callback of a simulated run runs on the simulator's one queue. That thread
+alone touches the fabric's state: its sockets, session port pools, listeners,
+channels and timers. It accepts on every listener, reads the acceptor side
+of every preamble, reads every channel and fires every timer, and runs what
+it reads and what fires through the owning actor's `ActorLoop`, which keeps
+that actor's exceptions out of the loop. Actors listen, connect, send their
+preambles, write and close from that thread too, so a close unregisters and
+closes its socket at once. Other threads reach a running fabric through two
+calls only: `ActorLoop.post` (an env's `call`) and `TcpFabric.shutdown`.
+Called from any other thread, an env's `schedule`, `schedule_repeating`,
+`listen` and `connect` raise RuntimeError rather than race the loop.
 Listeners take a backlog of SOMAXCONN, so a burst of connects made in one
 callback waits in the kernel until the thread comes back to accept them.
 Reads never block (MSG_DONTWAIT). A channel socket keeps PREAMBLE_TIMEOUT_S
@@ -75,15 +80,6 @@ class ActorLoop:
             self.errors.append(f"{type(e).__name__}: {e}")
 
 
-def _shut(sock: socket.socket) -> None:
-    """Send the FIN, or free a listening port for a new listen(), now; the
-    socket itself is closed on the I/O thread, which may be reading it."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-
-
 def _unblocked_recv(sock: socket.socket) -> bytes | None:
     """What a readable socket holds: data, b"" at end of stream or on an
     error, None when there was nothing after all."""
@@ -97,8 +93,11 @@ def _unblocked_recv(sock: socket.socket) -> bytes | None:
 
 class _IoLoop:
     """The fabric's one I/O thread: a selector over its sockets and a heap of
-    timers. Other threads hand it work through `call_soon` and `call_later`,
-    which wake its select through a socketpair."""
+    timers, both its own. Other threads hand it work only through
+    `call_soon` and `stop`, which wake its select through a socketpair;
+    `register`, `unregister` and `call_later` raise RuntimeError on any
+    other thread. `_lock` guards only the queue of `call_soon` and the flag
+    that the thread has ended."""
 
     def __init__(self):
         self.errors: list[str] = []
@@ -122,59 +121,60 @@ class _IoLoop:
     # -- from any thread ---------------------------------------------------
 
     def call_soon(self, fn) -> None:
-        """Run `fn` on the I/O thread, or here once that thread has ended."""
+        """Run `fn` on the I/O thread; dropped once that thread has ended."""
         with self._lock:
-            queued = not self._closed
-            if queued:
-                self._pending.append(fn)
-        if not queued:
-            fn()
-        elif threading.current_thread() is not self._thread:
+            if self._closed:
+                return
+            self._pending.append(fn)
+        if threading.current_thread() is not self._thread:
             self._wake()
-
-    def call_later(self, delay_s: float, fn, loop: ActorLoop | None = None,
-                   period_s: float | None = None) -> Timer:
-        """After `delay_s`, run `fn` through `loop` (or bare when `loop` is
-        None) on the I/O thread, then again every `period_s` if given, until
-        the returned Timer is cancelled."""
-        timer = Timer()
-        self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
-        return timer
 
     def stop(self, last) -> None:
         """End the I/O thread in one callback that runs `last`, so no read,
-        accept or timer runs after it; it closes every socket still open."""
+        accept, timer or post runs after it; it closes every socket still
+        open."""
         self.call_soon(lambda: self._halt(last))
         if threading.current_thread() is not self._thread:
             self._thread.join(timeout=5.0)
 
     # -- on the I/O thread -------------------------------------------------
 
+    def check_thread(self) -> None:
+        if threading.current_thread() is not self._thread:
+            raise RuntimeError("a TcpFabric is driven only from its I/O "
+                               "thread; post to it with ActorLoop.post")
+
+    def call_later(self, delay_s: float, fn, loop: ActorLoop | None = None,
+                   period_s: float | None = None) -> Timer:
+        """After `delay_s`, run `fn` through `loop` (or bare when `loop` is
+        None), then again every `period_s` if given, until the returned
+        Timer is cancelled."""
+        self.check_thread()
+        timer = Timer()
+        self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
+        return timer
+
     def register(self, sock: socket.socket, on_readable) -> None:
-        """Watch `sock`, unless it was closed while the call was queued."""
-        if sock.fileno() >= 0:
-            self._selector.register(sock, selectors.EVENT_READ, on_readable)
+        self.check_thread()
+        self._selector.register(sock, selectors.EVENT_READ, on_readable)
 
     def unregister(self, sock: socket.socket) -> None:
+        self.check_thread()
         try:
             self._selector.unregister(sock)
         except (KeyError, ValueError):
             pass
 
     def _push(self, deadline: float, timer: Timer, loop, fn, period_s) -> None:
-        entry = (deadline, next(self._seq), timer, loop, fn, period_s)
-        with self._lock:
-            heap = self._timers
-            if len(heap) >= self._compact_at:
-                # Cancelled entries wait for their deadline; drop them here
-                # so the heap stays within twice the live timers.
-                heap[:] = [e for e in heap if e[2].alive]
-                heapq.heapify(heap)
-                self._compact_at = max(_HEAP_COMPACT_MIN, 2 * len(heap))
-            heapq.heappush(heap, entry)
-            earliest = heap[0] is entry
-        if earliest and threading.current_thread() is not self._thread:
-            self._wake()
+        heap = self._timers
+        if len(heap) >= self._compact_at:
+            # Cancelled entries wait for their deadline; drop them here so
+            # the heap stays within twice the live timers.
+            heap[:] = [e for e in heap if e[2].alive]
+            heapq.heapify(heap)
+            self._compact_at = max(_HEAP_COMPACT_MIN, 2 * len(heap))
+        heapq.heappush(heap, (deadline, next(self._seq), timer, loop, fn,
+                              period_s))
 
     def _wake(self) -> None:
         try:
@@ -191,17 +191,15 @@ class _IoLoop:
 
     def _halt(self, last) -> None:
         self._running = False
-        with self._lock:
-            self._timers.clear()
+        self._timers.clear()
         last()
 
     def _timeout(self) -> float | None:
-        with self._lock:
-            if self._pending:
-                return 0.0
-            if not self._timers:
-                return None
-            return max(0.0, self._timers[0][0] - time.monotonic())
+        if self._pending:
+            return 0.0
+        if not self._timers:
+            return None
+        return max(0.0, self._timers[0][0] - time.monotonic())
 
     def _run(self) -> None:
         try:
@@ -216,18 +214,15 @@ class _IoLoop:
     def _step(self) -> None:
         for key, _events in self._selector.select(self._timeout()):
             key.data()
-        while self._pending:
+        while self._running and self._pending:
             self._pending.popleft()()
         self._fire_due()
 
     def _fire_due(self) -> None:
         now = time.monotonic()
-        while True:
-            with self._lock:
-                if not self._timers or self._timers[0][0] > now:
-                    return
-                _deadline, _seq, timer, loop, fn, period_s = \
-                    heapq.heappop(self._timers)
+        heap = self._timers
+        while heap and heap[0][0] <= now:
+            _deadline, _seq, timer, loop, fn, period_s = heapq.heappop(heap)
             if not timer.alive:
                 continue
             if loop is None:
@@ -240,14 +235,7 @@ class _IoLoop:
     def _close_all(self) -> None:
         with self._lock:
             self._closed = True
-            pending = list(self._pending)
             self._pending.clear()
-            self._timers.clear()
-        for fn in pending:
-            try:
-                fn()
-            except Exception as e:
-                self.errors.append(f"{type(e).__name__}: {e}")
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
         self._selector.close()
@@ -257,10 +245,9 @@ class _IoLoop:
 class TcpChannel(ChannelEnd):
     """One end of a connection. The I/O thread reads it and runs what it
     reads through the owning actor's loop; `send` writes within the socket's
-    timeout. The socket is closed on the I/O thread once either end has
-    closed; the connecting end then hands the logical session port it
-    picked on the peer's node back to the fabric. The accepted end holds no
-    port."""
+    timeout. Once either end has closed, the socket is closed at once, and
+    the connecting end hands the logical session port it picked on the
+    peer's node back to that node's pool. The accepted end holds no port."""
 
     def __init__(self, fabric: TcpFabric, sock: socket.socket, loop: ActorLoop,
                  local: Endpoint, remote: Endpoint, kind: str,
@@ -277,30 +264,24 @@ class TcpChannel(ChannelEnd):
         try:
             self._sock.sendall(data)
         except OSError as e:  # reset, or not taken within the timeout
-            self._drop()
-            self._drop_handlers()
+            self.close()
             raise ChannelClosed(str(e)) from e
 
     def close(self) -> None:
         if self._open:
-            _shut(self._sock)
             self._drop()
             self._drop_handlers()
 
     def _drop(self) -> None:
+        """Stop reading, close the socket, forget the channel, and free the
+        session port it picked."""
         self._open = False
-        self._fabric._io.call_soon(self._release)
-
-    def _release(self) -> None:
-        """On the I/O thread: stop reading, close, forget the channel, and
-        free the session port it picked (once, though `_drop` may race
-        `close`)."""
-        self._fabric._io.unregister(self._sock)
+        fabric = self._fabric
+        fabric._io.unregister(self._sock)
         self._sock.close()
-        port, self._session_port = self._session_port, None
-        if port is not None:
-            self._fabric.free_session_port(self.remote.addr, port)
-        self._fabric._forget(self._fabric._channels, self)
+        if self._session_port is not None:
+            fabric._session_ports[self.remote.addr].free(self._session_port)
+        fabric._channels.discard(self)
 
     def _on_readable(self) -> None:
         data = _unblocked_recv(self._sock)
@@ -308,9 +289,8 @@ class TcpChannel(ChannelEnd):
             return
         if data:
             self._loop.run(self._arrive, data)
-            return
-        self._fabric._io.unregister(self._sock)
-        self._loop.run(self._closed_by_peer)
+        else:
+            self._loop.run(self._closed_by_peer)
 
     def _closed_by_peer(self) -> None:
         if self._open:
@@ -334,13 +314,9 @@ class _TcpListener:
     def close(self) -> None:
         if self._open:
             self._open = False
-            _shut(self._sock)
-            self._fabric._io.call_soon(self._release)
-
-    def _release(self) -> None:
-        self._fabric._io.unregister(self._sock)
-        self._sock.close()
-        self._fabric._forget(self._fabric._listeners, self)
+            self._fabric._io.unregister(self._sock)
+            self._sock.close()
+            self._fabric._listeners.discard(self)
 
     def _on_readable(self) -> None:
         while True:
@@ -348,7 +324,7 @@ class _TcpListener:
                 conn, peer = self._sock.accept()
             except BlockingIOError:
                 return
-            except OSError:  # shut down: stop watching it
+            except OSError:  # closed under the accept: stop watching it
                 self._fabric._io.unregister(self._sock)
                 return
             conn.settimeout(PREAMBLE_TIMEOUT_S)
@@ -364,12 +340,14 @@ class _TcpListener:
         channel = TcpChannel(fabric, conn, env.loop,
                              Endpoint(env.addr, session_port), peer_ep,
                              self._kind)
-        fabric._track(fabric._channels, channel)
+        fabric._channels.add(channel)
+        # Watched before the actor sees it, so that a close in `on_accept`
+        # unregisters it like any other.
+        fabric._io.register(conn, channel._on_readable)
         info = AcceptInfo(peer_ep, self.endpoint.port, session_port, meta)
         env.loop.run(self._on_accept, channel, info)
         if rest:
             env.loop.run(channel._arrive, rest)
-        fabric._io.register(conn, channel._on_readable)
 
 
 class _Handshake:
@@ -438,7 +416,9 @@ _SUBNET_SEQ = itertools.count(1)  # next() on it is atomic under the GIL
 class TcpFabric:
     """Loopback address mapping, per-node logical session ports, the one I/O
     thread, and every actor loop, listener and open channel, so that
-    shutdown can stop them all."""
+    shutdown can stop them all. The nodes and envs are set up before the
+    first post; from then on the I/O thread owns the ports, listeners and
+    channels, and `kill_node` runs there too."""
 
     def __init__(self):
         self._subnet = f"127.31.{next(_SUBNET_SEQ) % 250}"
@@ -446,8 +426,6 @@ class TcpFabric:
         self._ip_to_addr: dict[str, str] = {}
         self._session_ports: dict[str, PortPool] = {}
         self._down: set[str] = set()
-        self._lock = threading.Lock()
-        self._stopped = False
         self._listeners: set[_TcpListener] = set()
         self._channels: set[TcpChannel] = set()
         self._loops: list[ActorLoop] = []
@@ -455,13 +433,12 @@ class TcpFabric:
         self._t0 = time.monotonic()
 
     def add_node(self, addr: str) -> None:
-        with self._lock:
-            if addr in self._addr_to_ip:
-                return
-            ip = f"{self._subnet}.{len(self._addr_to_ip) + 1}"
-            self._addr_to_ip[addr] = ip
-            self._ip_to_addr[ip] = addr
-            self._session_ports[addr] = PortPool(EPHEMERAL_START, EPHEMERAL_END)
+        if addr in self._addr_to_ip:
+            return
+        ip = f"{self._subnet}.{len(self._addr_to_ip) + 1}"
+        self._addr_to_ip[addr] = ip
+        self._ip_to_addr[ip] = addr
+        self._session_ports[addr] = PortPool(EPHEMERAL_START, EPHEMERAL_END)
 
     def env(self, addr: str) -> TcpEnv:
         """A node-bound environment with a new ActorLoop."""
@@ -477,44 +454,15 @@ class TcpFabric:
     def logical(self, ip: str) -> str:
         return self._ip_to_addr.get(ip, ip)
 
-    def alloc_session_port(self, addr: str) -> int:
-        """A logical session port on `addr`: a never-used one while any is
-        left, then the longest-freed one. Raises ConnectionRefused when
-        every port is held by an open channel."""
-        with self._lock:
-            port = self._session_ports[addr].alloc()
-        if port is None:
-            raise ConnectionRefused(f"session ports exhausted on {addr}")
-        return port
-
-    def free_session_port(self, addr: str, port: int) -> None:
-        with self._lock:
-            self._session_ports[addr].free(port)
-
     def now_ms(self) -> int:
         return int((time.monotonic() - self._t0) * 1000)
-
-    def _track(self, items: set, item) -> None:
-        """Remember an open listener or channel for shutdown, or close it
-        now if that has begun."""
-        with self._lock:
-            if not self._stopped:
-                items.add(item)
-                return
-        item.close()
-
-    def _forget(self, items: set, item) -> None:
-        with self._lock:
-            items.discard(item)
 
     def kill_node(self, addr: str) -> None:
         """Node dies: its listeners and channels close, and connects to or
         from it raise NodeDown."""
-        with self._lock:
-            self._down.add(addr)
-            listeners = [x for x in self._listeners if x.endpoint.addr == addr]
-            channels = [x for x in self._channels if x.local.addr == addr]
-        for item in listeners + channels:
+        self._down.add(addr)
+        for item in [*(x for x in self._listeners if x.endpoint.addr == addr),
+                     *(x for x in self._channels if x.local.addr == addr)]:
             item.close()
 
     def shutdown(self) -> None:
@@ -523,10 +471,7 @@ class TcpFabric:
         self._io.stop(self._close_tracked)
 
     def _close_tracked(self) -> None:
-        with self._lock:
-            self._stopped = True
-            items = [*self._listeners, *self._channels]
-        for item in items:
+        for item in [*self._listeners, *self._channels]:
             item.close()
 
 
@@ -558,6 +503,7 @@ class TcpEnv:
 
     def listen(self, port: int, on_accept, kind: str = "data"):
         fabric = self.fabric
+        fabric._io.check_thread()
         ip = fabric.ip(self.addr)
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         # A port that only a closed connection's TIME_WAIT holds is free.
@@ -571,9 +517,8 @@ class TcpEnv:
         sock.setblocking(False)
         listener = _TcpListener(self, Endpoint(self.addr, port), sock,
                                 on_accept, kind)
-        fabric._track(fabric._listeners, listener)
-        fabric._io.call_soon(
-            lambda: fabric._io.register(sock, listener._on_readable))
+        fabric._listeners.add(listener)
+        fabric._io.register(sock, listener._on_readable)
         return listener
 
     def connect(self, dst: Endpoint, kind: str = "data", meta=None):
@@ -583,8 +528,14 @@ class TcpEnv:
         PREAMBLE_TIMEOUT_S, as to a listener whose accept queue is full, is
         refused."""
         fabric = self.fabric
+        fabric._io.check_thread()
         src_ip, dst_ip = fabric.ip(self.addr), fabric.ip(dst.addr)
-        session_port = fabric.alloc_session_port(dst.addr)
+        # A never-used session port while any is left, then the
+        # longest-freed one.
+        ports = fabric._session_ports[dst.addr]
+        session_port = ports.alloc()
+        if session_port is None:
+            raise ConnectionRefused(f"session ports exhausted on {dst.addr}")
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -595,15 +546,14 @@ class TcpEnv:
                                        "session": session_port}))
         except OSError as e:
             sock.close()
-            fabric.free_session_port(dst.addr, session_port)
+            ports.free(session_port)
             raise ConnectionRefused(str(dst)) from e
         m = sock.getsockname()[1]
         channel = TcpChannel(fabric, sock, self.loop, Endpoint(self.addr, m),
                              Endpoint(dst.addr, session_port), kind,
                              session_port)
-        fabric._track(fabric._channels, channel)
-        fabric._io.call_soon(
-            lambda: fabric._io.register(sock, channel._on_readable))
+        fabric._channels.add(channel)
+        fabric._io.register(sock, channel._on_readable)
         return channel, m, session_port
 
 

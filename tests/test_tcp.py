@@ -1,5 +1,6 @@
 """Loopback-TCP mode: the same actors over real sockets."""
 
+import concurrent.futures
 import socket
 import sys
 import threading
@@ -9,13 +10,14 @@ import pytest
 
 from conftest import FIXTURES
 
+import ssmmp.harness.tcp_runner
 import ssmmp.manager
 import ssmmp.tcp
 from ssmmp import wire
 from ssmmp.agent import Agent
 from ssmmp.cluster import NodeDef
 from ssmmp.graph import parse_graph_file
-from ssmmp.harness.runner import TRACE_CHECKS, run_scenario
+from ssmmp.harness.runner import TRACE_CHECKS, execute_event, run_scenario
 from ssmmp.harness.scenario import load_scenario, parse_scenario_text
 from ssmmp.harness.tcp_runner import run_scenario_tcp
 from ssmmp.manager import Manager, SessionState
@@ -39,6 +41,21 @@ def _running_loop():
             return frame.f_locals["self"]
         frame = frame.f_back
     return None
+
+
+def _on_loop(env, fn):
+    """Run `fn` on `env`'s fabric thread, posted as its actor would be, and
+    return its result or raise its exception here."""
+    result = concurrent.futures.Future()
+
+    def run():
+        try:
+            result.set_result(fn())
+        except Exception as e:
+            result.set_exception(e)
+
+    env.call(run)
+    return result.result(timeout=5)
 
 
 def _wait(pred, timeout=8.0, poll=0.02):
@@ -124,10 +141,52 @@ def test_kill_agent_gives_the_same_checks_over_both_transports():
                        "correlation", "wire_grammar", "replay_equivalence"}
 
 
-def test_registration_timeout_is_a_verdict():
+def test_tcp_scenario_events_run_on_the_fabric_thread(monkeypatch):
+    """`run_scenario_tcp` runs the timeline on the fabric's I/O thread, so the
+    interpreter reads the manager's tables between two callbacks."""
+    threads = []
+
+    def recorded(ctx, ev):
+        threads.append(threading.current_thread())
+        execute_event(ctx, ev)
+
+    monkeypatch.setattr(ssmmp.harness.tcp_runner, "execute_event", recorded)
+    scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
+    report = run_scenario_tcp(scenario, seed=0)
+    assert report.ok, [v.render() for v in report.expects if not v.ok]
+    assert len(threads) == len(scenario.events)
+    assert {t.name for t in threads} == {"tcp-io"}
+    assert threading.current_thread() not in threads
+
+
+def test_env_calls_off_the_fabric_thread_raise():
+    """Only the I/O thread may touch the timer heap and the selector: from
+    another thread, each env call that would raises before it binds,
+    dials or queues anything."""
+    fabric = TcpFabric()
+    fabric.add_node("fd00::a1")
+    env = fabric.env("fd00::a1")
+    try:
+        for call in (lambda: env.schedule(10, lambda: None),
+                     lambda: env.schedule_repeating(10, lambda: None),
+                     lambda: env.listen(7000, lambda channel, info: None),
+                     lambda: env.connect(Endpoint("fd00::a1", 7000))):
+            with pytest.raises(RuntimeError):
+                call()
+        assert fabric._listeners == set() and fabric._io._timers == []
+        assert fabric._session_ports["fd00::a1"].allocated == set()
+        # On the loop the same listen binds the port the refused one left.
+        _on_loop(env, lambda: env.listen(7000, lambda channel, info: None))
+        assert fabric._loops[0].errors == [] and fabric._io.errors == []
+    finally:
+        fabric.shutdown()
+
+
+def test_registration_timeout_is_a_verdict(monkeypatch):
     before = set(threading.enumerate())
     scenario = load_scenario(FIXTURES / "fig1_boot.scenario")
-    report = run_scenario_tcp(scenario, seed=0, register_timeout_s=0)
+    monkeypatch.setattr(ssmmp.harness.tcp_runner, "REGISTER_TIMEOUT_S", 0)
+    report = run_scenario_tcp(scenario, seed=0)
     assert not report.ok
     failed = [v for v in report.invariants if not v.ok]
     assert [v.name for v in failed] == ["registration"]
@@ -139,9 +198,12 @@ def _booted_fig1_cluster(fig1):
     cluster = build_tcp_cluster([fig1], "fd00::1",
                                 [NodeDef("fd00::a1", ["A", "B"])])
     assert _wait(lambda: all(a.registered for a in cluster.agents.values()))
-    cluster.manager_loop.post(cluster.manager.start_app)
-    assert _wait(lambda: ("A", 1) in cluster.runtimes
-                 and bool(cluster.manager.running_instances("A")))
+    manager = cluster.manager
+    manager.env.call(manager.start_app)
+    # The instance table is walked on the loop, which changes it.
+    assert _wait(lambda: _on_loop(manager.env, lambda: (
+        ("A", 1) in cluster.runtimes
+        and bool(manager.running_instances("A")))))
     return cluster
 
 
@@ -173,7 +235,8 @@ def test_hard_shutdown_kills_on_the_runtimes_own_loop(fig1, monkeypatch):
     try:
         manager = cluster.manager
         rt = cluster.runtimes[("A", 1)]
-        record = manager.running_instances("A")[0]
+        record = _on_loop(manager.env,
+                          lambda: manager.running_instances("A")[0])
         cluster.manager_loop.post(lambda: manager.request_hard_shutdown(record))
         assert _wait(lambda: rt.state == "killed")
         assert _wait(lambda: ("A", 1) not in cluster.agents["fd00::a1"].instances)
@@ -374,8 +437,8 @@ def test_session_ports_of_released_channels_are_reused(fig1):
         pool._next = 65534
         for _ in range(5):
             _open_close_pairs(cluster, 1)
-            # The connecting end, which frees the port, is released on the
-            # I/O thread after the manager has seen the close.
+            # The connecting end frees the port when it closes, which may
+            # be after the manager has seen the close.
             assert _wait(lambda: len(fabric._channels) == control_channels)
         ports = [s.session_port for s in cluster.manager.sessions[1:]]
         assert ports == [65534, 65535, first_port, 65534, 65535]
@@ -406,8 +469,9 @@ def acceptor():
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
     accepted = []
-    fabric.env("fd00::a1").listen(
-        7000, lambda channel, info: accepted.append(info))
+    env = fabric.env("fd00::a1")
+    _on_loop(env, lambda: env.listen(
+        7000, lambda channel, info: accepted.append(info)))
     yield fabric, accepted
     fabric.shutdown()
 
@@ -445,7 +509,8 @@ def test_agent_closes_control_channel_naming_no_instance(fig1, instance,
         assert _wait(lambda: all(a.registered
                                  for a in cluster.agents.values()))
         agent = cluster.agents["fd00::a1"]
-        port = fabric.alloc_session_port("fd00::a1")
+        port = _on_loop(agent.env,
+                        lambda: fabric._session_ports["fd00::a1"].alloc())
         with socket.create_connection(
                 (fabric.ip("fd00::a1"), agent.config.agent_port),
                 timeout=5) as raw:
@@ -472,17 +537,17 @@ def test_silent_connector_is_closed_after_preamble_timeout(acceptor):
 def test_both_ends_of_a_channel_set_nodelay(acceptor):
     fabric, accepted = acceptor
     fabric.add_node("fd00::a2")
-    channel, _m, _l = fabric.env("fd00::a2").connect(
-        Endpoint("fd00::a1", 7000))
+    env = fabric.env("fd00::a2")
+    channel, _m, _l = _on_loop(env, lambda: env.connect(
+        Endpoint("fd00::a1", 7000)))
     try:
         assert _wait(lambda: len(accepted) == 1)
-        accepted_channel = next(ch for ch in fabric._channels
-                                if ch is not channel)
-        for ch in (channel, accepted_channel):
-            assert ch._sock.getsockopt(socket.IPPROTO_TCP,
-                                       socket.TCP_NODELAY)
+        nodelay = _on_loop(env, lambda: [
+            ch._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            for ch in fabric._channels])
+        assert len(nodelay) == 2 and all(nodelay)
     finally:
-        channel.close()
+        _on_loop(env, channel.close)
 
 
 def test_timers_fire_in_deadline_order_until_cancelled():
@@ -495,10 +560,10 @@ def test_timers_fire_in_deadline_order_until_cancelled():
         for delay in (150, 50, 100):
             env.schedule(delay, lambda d=delay: fired.append(d))
         env.schedule(75, lambda: fired.append("cancelled")).cancel()
+        return env.schedule_repeating(5, lambda: fired.append("tick"))
 
     try:
-        env.call(schedule)
-        ticks = env.schedule_repeating(5, lambda: fired.append("tick"))
+        ticks = _on_loop(env, schedule)
         assert _wait(lambda: fired.count("tick") >= 3 and 150 in fired)
         assert [f for f in fired if f != "tick"] == [50, 100, 150]
         stopped = []
@@ -513,21 +578,26 @@ def test_timers_fire_in_deadline_order_until_cancelled():
 
 
 def test_timers_from_many_threads_fire_once_unless_cancelled():
-    """Threads racing on the timer heap (and its compaction) lose no timer
-    and fire none twice; a cancelled one never fires."""
+    """Threads racing to post timers and their cancels onto the loop lose
+    no timer and fire none twice, through the heap's compaction; a
+    cancelled one never fires."""
     fabric = TcpFabric()
     fabric.add_node("fd00::a1")
     env = fabric.env("fd00::a1")
     fired: list[tuple[int, int]] = []
     cancelled: set[tuple[int, int]] = set()
+    timers: dict[tuple[int, int], object] = {}
 
     def schedule_many(worker: int) -> None:
         for i in range(300):
             key = (worker, i)
-            timer = env.schedule(200 + i % 7,
-                                 lambda key=key: fired.append(key))
+
+            def schedule(key=key, delay=200 + i % 7):
+                timers[key] = env.schedule(delay, lambda: fired.append(key))
+
+            env.call(schedule)
             if i % 3 == 0:
-                timer.cancel()
+                env.call(lambda key=key: timers[key].cancel())
                 cancelled.add(key)
 
     interval = sys.getswitchinterval()
@@ -577,8 +647,8 @@ def test_connect_waits_for_nothing_from_the_acceptor():
         channel, _m, l = times["result"]
         assert l == EPHEMERAL_START
         assert fabric._session_ports["fd00::a2"].allocated == {l}
-        channel.close()
-        assert _wait(lambda: not fabric._session_ports["fd00::a2"].allocated)
+        _on_loop(env, channel.close)
+        assert not fabric._session_ports["fd00::a2"].allocated
     finally:
         server.close()
         fabric.shutdown()
@@ -596,11 +666,11 @@ def test_connect_to_a_full_accept_queue_is_refused_after_the_timeout(
     held = socket.create_connection((fabric.ip("fd00::a2"), 7000), timeout=5)
     pool = fabric._session_ports["fd00::a2"]
     available = pool.available()
+    env = fabric.env("fd00::a1")
     try:
         t0 = time.monotonic()
         with pytest.raises(ConnectionRefused):
-            fabric.env("fd00::a1").connect(
-                Endpoint("fd00::a2", 7000))
+            _on_loop(env, lambda: env.connect(Endpoint("fd00::a2", 7000)))
         assert time.monotonic() - t0 < 0.3 + 0.5
         assert pool.available() == available
     finally:
@@ -620,10 +690,10 @@ def test_connect_with_no_session_port_left_sends_nothing():
     pool = fabric._session_ports["fd00::a2"]
     while pool.alloc() is not None:
         pass
+    env = fabric.env("fd00::a1")
     try:
         with pytest.raises(ConnectionRefused):
-            fabric.env("fd00::a1").connect(
-                Endpoint("fd00::a2", 7000))
+            _on_loop(env, lambda: env.connect(Endpoint("fd00::a2", 7000)))
         with pytest.raises(BlockingIOError):
             server.accept()
     finally:
