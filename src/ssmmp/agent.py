@@ -135,11 +135,6 @@ class Agent:
         self._timers.append(self.env.schedule_repeating(
             HEALTH_POLL_MS, self.health_poll_tick, tag="tick"))
 
-    def has_pending(self) -> bool:
-        """A live agent awaits a health reply or relays an establishment;
-        its held session requests wait only behind such a flow."""
-        return self.alive and bool(self._pending_health or self._flows)
-
     def mark_dead(self) -> None:
         """The node died, and its instances with it."""
         self.alive = False
@@ -191,7 +186,7 @@ class Agent:
     def _on_runtime_connect(self, channel, info) -> None:
         iid = info.meta.get("instance", "")
         li = (self.instances.get((info.meta.get("service", ""), int(iid)))
-              if iid.isdecimal() else None)
+              if iid.isascii() and iid.isdecimal() else None)
         if li is None:
             channel.close()
             return

@@ -114,6 +114,5 @@ class Cluster:
                 for li in agent.instances.values()]
 
     def has_pending(self) -> bool:
-        return (self.manager.has_pending()
-                or any(a.has_pending() for a in self.agents.values())
-                or any(rt.has_pending() for rt in self.live_runtimes()))
+        """A correlation is outstanding: its timeout is queued."""
+        return "timeout" in self.fabric.pending_tags()

@@ -1,14 +1,17 @@
 """Scenario execution: boot the cluster, drive the timeline, check everything.
 
 Timeline events run at their scheduled simulated times. Whenever the run
-reaches a quiescent point (only maintenance ticks and future timeline events
-queued, no pending correlations anywhere) every invariant is checked: the
-live-state checks over the whole cluster, and the trace checks by the run's
-one streaming checker over the records appended since the last quiescent
-point. Any violation fails the run, and so does an exception that an
-actor's callback raises: the run goes on, and the report ends with the
-failed verdict `loop_errors`, as over TCP. The report is a pure function of
-(scenario, seed), byte for byte.
+reaches a quiescent point, every invariant is checked: the live-state
+checks over the whole cluster, and the trace checks by the run's one
+streaming checker over the records appended since the last quiescent point.
+Quiescence is read from the simulator's one timer queue alone: only
+maintenance ticks, retries and future timeline events are queued, so no
+correlation is pending anywhere (see MAINTENANCE_TAGS). Any violation
+fails the run, and so does an exception that an actor's callback raises,
+as when data reaches a channel whose handlers were not set in the callback
+that got it: the run goes on, and the report ends with the failed verdict
+`loop_errors`, as over TCP. The report is a pure function of (scenario,
+seed), byte for byte.
 
 The `Collector` records each control message as the `Message` its sender
 built, each transport event, and each manager decision.
@@ -35,6 +38,13 @@ from .scenario import Scenario, ScenarioEvent
 
 USER_NODE = "fd00::ee"
 BOOT_APP_AT_MS = 50
+# The fabric's timer queue is the only record of outstanding work: each
+# correlation table entry (a manager's `_pending` and `_pending_sessions`,
+# an agent's `_flows` and `_pending_health`, a runtime's `_pending_opens`)
+# is made together with a queued `timeout` timer and leaves its table
+# exactly when that timer fires or is cancelled, and an agent's
+# `_held_requests` wait only behind a flow. So a point is quiescent when
+# the queue holds no live timer but these.
 MAINTENANCE_TAGS = {"tick", "timeline", "retry"}
 TRACE_CHECKS = {"choreography", "replay_matches"}
 
@@ -344,10 +354,8 @@ def _evaluate_expect(ctx: RunContext, check: str, args: tuple[str, ...]
 # ---------------------------------------------------------------------------
 # Main loop
 
-def _is_quiescent(net: SimNetwork, cluster: Cluster) -> bool:
-    if net.pending_tags() - MAINTENANCE_TAGS:
-        return False
-    return not cluster.has_pending()
+def _is_quiescent(net: SimNetwork) -> bool:
+    return not (net.pending_tags() - MAINTENANCE_TAGS)
 
 
 def loop_errors(errors: list[str]) -> list[Verdict]:
@@ -404,7 +412,7 @@ def run_scenario(scenario: Scenario, seed: int) -> TraceReport:
         if not progressed:
             break
         mark = net._seq
-        if _is_quiescent(net, cluster) and mark != last_sweep_mark:
+        if _is_quiescent(net) and mark != last_sweep_mark:
             last_sweep_mark = mark
             verdicts = invariants.sweep(collector.records, cluster.manager,
                                         cluster, net, trace=ctx.trace)

@@ -245,9 +245,6 @@ class Manager:
                 if v.kind is ServiceKind.GATEWAY:
                     self.execute_instance(v.name)
 
-    def has_pending(self) -> bool:
-        return bool(self._pending or self._pending_sessions)
-
     # -- plumbing ---------------------------------------------------------
 
     def _log(self, what: str) -> None:

@@ -136,10 +136,6 @@ class ServiceRuntime:
         read_messages(ch, lambda _ch, msg: self._from_agent(msg),
                       lambda _ch: None)
 
-    def has_pending(self) -> bool:
-        """A session open awaits the control plane's response."""
-        return bool(self._pending_opens)
-
     def kill(self) -> None:
         """Hard death: everything closes, nothing is said."""
         if self.state in ("killed", "exited"):

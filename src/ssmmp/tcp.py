@@ -1,27 +1,31 @@
 """Loopback-TCP transport: the same actor contract over real sockets.
 
-`TcpChannel` is a `transport.ChannelEnd`, so handler buffering and control
-I/O (`send_message`, `read_messages`) are the simulator's. Every logical
-node address maps to a distinct loopback IP; connections bind their node's
-IP so the peer's logical identity is recoverable. Real TCP does not expose a
-per-session listener port, so, as in the simulator, connect picks a logical
-one on the destination node: from the simulator's ephemeral range, 40000
-up, then the ports of released channels, oldest first. The connector names
-it in its one-line preamble, beside the connect metadata the simulated
-fabric passes natively (plug name or instance identity), and the acceptor
-sends nothing back. The kernel connect and the preamble send wait at most
+`TcpChannel` is a `transport.ChannelEnd`, so its handlers, set in the
+callback that got the channel, and control I/O (`send_message`,
+`read_messages`) are the simulator's. Every logical node address maps to a
+distinct loopback IP; connections bind their node's IP so the peer's logical
+identity is recoverable. Real TCP does not expose a per-session listener
+port, so, as in the simulator, connect picks a logical one on the
+destination node: from the simulator's ephemeral range, 40000 up, then the
+ports of released channels, oldest first. The connector names it in its
+one-line preamble, beside the connect metadata the simulated fabric passes
+natively (plug name or instance identity), and the acceptor sends nothing
+back. The kernel connect and the preamble send wait at most
 PREAMBLE_TIMEOUT_S, and so does the acceptor for the preamble; a malformed
-one closes the connection. Runs are wall-clock and excluded from
-determinism guarantees.
+one closes the connection. Runs are wall-clock and excluded from determinism
+guarantees.
 
-One owner thread: each fabric owns one I/O thread, which runs a selector
-and a timer heap, and every callback of every actor runs there, as every
-callback of a simulated run runs on the simulator's one queue. That thread
-alone touches the fabric's state: its sockets, session port pools, listeners,
-channels and timers. It accepts on every listener, reads the acceptor side
-of every preamble, reads every channel and fires every timer, and runs what
-it reads and what fires through the owning actor's `ActorLoop`, which keeps
-that actor's exceptions out of the loop. Actors listen, connect, send their
+One owner thread: each fabric owns one I/O thread, which runs a selector and
+one timer queue, and every callback of every actor runs there, as every
+callback of a simulated run runs on the simulator's one queue. The timer
+queue is a `transport.TimerQueue`, as the simulator's is, and the only
+record of the fabric's outstanding work, from which the simulator reads
+quiescence; nothing reads it over TCP. That thread alone touches the
+fabric's state: its sockets, session port pools, listeners, channels and
+timers. It accepts on every listener, reads the acceptor side of every
+preamble, reads every channel and fires every timer, and runs what it reads
+and what fires through the owning actor's `ActorLoop`, which keeps that
+actor's exceptions out of the loop. Actors listen, connect, send their
 preambles, write and close from that thread too, so a close unregisters and
 closes its socket at once. Other threads reach a running fabric through two
 calls only: `ActorLoop.post` (an env's `call`) and `TcpFabric.shutdown`.
@@ -43,7 +47,7 @@ waiting out Nagle's algorithm behind the peer's delayed ACK.
 from __future__ import annotations
 
 import collections
-import heapq
+import functools
 import itertools
 import selectors
 import socket
@@ -53,11 +57,11 @@ import time
 from .cluster import Cluster
 from .transport import (EPHEMERAL_END, EPHEMERAL_START, AcceptInfo,
                         ChannelClosed, ChannelEnd, ConnectionRefused,
-                        Endpoint, NodeDown, PortInUse, PortPool, Timer)
+                        Endpoint, NodeDown, PortInUse, PortPool, Timer,
+                        TimerQueue)
 
 PREAMBLE_TIMEOUT_S = 2.0
 _RECV_BYTES = 65536
-_HEAP_COMPACT_MIN = 64  # below this many entries, never compact the heap
 
 
 class ActorLoop:
@@ -92,12 +96,14 @@ def _unblocked_recv(sock: socket.socket) -> bytes | None:
 
 
 class _IoLoop:
-    """The fabric's one I/O thread: a selector over its sockets and a heap of
-    timers, both its own. Other threads hand it work only through
-    `call_soon` and `stop`, which wake its select through a socketpair;
-    `register`, `unregister` and `call_later` raise RuntimeError on any
-    other thread. `_lock` guards only the queue of `call_soon` and the flag
-    that the thread has ended."""
+    """The fabric's one I/O thread: a selector over its sockets and the
+    fabric's one timer queue, a `TimerQueue` as in the simulator and the
+    only record of outstanding work, both its own. Other threads hand it
+    work only through `call_soon` and `stop`, which wake its select
+    through a socketpair; `register`, `unregister` and `call_later`
+    raise RuntimeError on any other thread. Each channel it reads has
+    its handlers from the callback that got it. `_lock` guards only the
+    queue of `call_soon` and the flag that the thread has ended."""
 
     def __init__(self):
         self.errors: list[str] = []
@@ -109,9 +115,7 @@ class _IoLoop:
                                 self._drain_wake)
         self._lock = threading.Lock()
         self._pending: collections.deque = collections.deque()
-        self._timers: list[tuple] = []  # (deadline, seq, Timer, loop, fn, period)
-        self._compact_at = _HEAP_COMPACT_MIN
-        self._seq = itertools.count()
+        self._queue = TimerQueue(itertools.count().__next__)
         self._running = True
         self._closed = False
         self._thread = threading.Thread(target=self._run, name="tcp-io",
@@ -150,8 +154,10 @@ class _IoLoop:
         None), then again every `period_s` if given, until the returned
         Timer is cancelled."""
         self.check_thread()
-        timer = Timer()
-        self._push(time.monotonic() + delay_s, timer, loop, fn, period_s)
+        if loop is not None:
+            fn = functools.partial(loop.run, fn)
+        timer = Timer(fn, "timer", period_s)
+        self._queue.push(time.monotonic() + delay_s, timer)
         return timer
 
     def register(self, sock: socket.socket, on_readable) -> None:
@@ -164,17 +170,6 @@ class _IoLoop:
             self._selector.unregister(sock)
         except (KeyError, ValueError):
             pass
-
-    def _push(self, deadline: float, timer: Timer, loop, fn, period_s) -> None:
-        heap = self._timers
-        if len(heap) >= self._compact_at:
-            # Cancelled entries wait for their deadline; drop them here so
-            # the heap stays within twice the live timers.
-            heap[:] = [e for e in heap if e[2].alive]
-            heapq.heapify(heap)
-            self._compact_at = max(_HEAP_COMPACT_MIN, 2 * len(heap))
-        heapq.heappush(heap, (deadline, next(self._seq), timer, loop, fn,
-                              period_s))
 
     def _wake(self) -> None:
         try:
@@ -191,15 +186,15 @@ class _IoLoop:
 
     def _halt(self, last) -> None:
         self._running = False
-        self._timers.clear()
+        self._queue.clear()
         last()
 
     def _timeout(self) -> float | None:
         if self._pending:
             return 0.0
-        if not self._timers:
+        if not self._queue:
             return None
-        return max(0.0, self._timers[0][0] - time.monotonic())
+        return max(0.0, self._queue[0][0] - time.monotonic())
 
     def _run(self) -> None:
         try:
@@ -220,17 +215,12 @@ class _IoLoop:
 
     def _fire_due(self) -> None:
         now = time.monotonic()
-        heap = self._timers
-        while heap and heap[0][0] <= now:
-            _deadline, _seq, timer, loop, fn, period_s = heapq.heappop(heap)
-            if not timer.alive:
-                continue
-            if loop is None:
-                fn()
-            else:
-                loop.run(fn)
-            if period_s is not None:
-                self._push(now + period_s, timer, loop, fn, period_s)
+        queue = self._queue
+        while (entry := queue.pop_live(now)) is not None:
+            timer = entry[3]
+            timer.fn()
+            if timer.period is not None and timer.alive:
+                queue.push(now + timer.period, timer)
 
     def _close_all(self) -> None:
         with self._lock:
@@ -404,7 +394,7 @@ def _parse_preamble(line: str) -> tuple[dict[str, str], int]:
         raise ConnectionRefused(f"bad preamble {line!r}")
     meta = dict(w.split("=", 1) for w in words[1:])
     port = meta.pop("session", "")
-    if not (port.isdecimal()
+    if not (port.isascii() and port.isdecimal()
             and EPHEMERAL_START <= int(port) <= EPHEMERAL_END):
         raise ConnectionRefused(f"bad session port in {line!r}")
     return meta, int(port)

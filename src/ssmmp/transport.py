@@ -1,25 +1,30 @@
 """Deterministic in-process network: nodes, ordered channels, timers.
 
 Single-threaded discrete-event simulation. Every delivery, accept, close,
-and timer is an entry in one priority queue ordered by (time, tie, seq);
+and timer is a `Timer` in one `TimerQueue`, ordered by (time, tie, seq);
 the tie key is drawn per channel (or per timer) from the run seed, so equal
 seeds replay identical traces while different seeds may interleave unrelated
-channels differently. Per-channel FIFO always holds.
+channels differently. Per-channel FIFO always holds. The TCP fabric keeps
+its timers in a `TimerQueue` too. A fabric's timer queue is the only record
+of its outstanding work: a control request is outstanding exactly while its
+`timeout` timer is queued, so quiescence is read from the queue's tags
+(`pending_tags`), not from the actors.
 
 Connecting allocates an ephemeral port m on the source node and a fresh
 per-session port l on the destination node; the acceptor learns the peer
 endpoint and any connect metadata, the connector learns l. A channel's port
 is bound while it is open and free again once it closes. Each node hands out
 m and l from one `PortPool` over 40000-65535, as the TCP fabric does, and
-skips a port that a listener holds. A queued entry is its own timer.
+skips a port that a listener holds.
 
-Both fabrics' channels are a `ChannelEnd`, which holds the handlers and
-what arrives before them; `Channel` and `tcp.TcpChannel` add only send, close
-and delivery. A closed end holds no handlers once its close is handed on,
-and two closed simulated ends no longer hold each other, so that a closed
-session is freed when it closes and not at the next full collection. Every
-control message leaves through `send_message` and is read through
-`read_messages`, with one `wire.MessageReader` per channel.
+Both fabrics' channels are a `ChannelEnd`, which holds the handlers;
+`Channel` and `tcp.TcpChannel` add only send, close and delivery. Handlers
+are set in the callback that got the end, so an end keeps no data for them.
+A closed end holds no handlers once its close is handed on, and two closed
+simulated ends no longer hold each other, so that a closed session is freed
+when it closes and not at the next full collection. Every control message
+leaves through `send_message` and is read through `read_messages`, with one
+`wire.MessageReader` per channel.
 
 A simulated run has at most one observer, `SimNetwork.observer`: it sees
 each sent `Message`, each transport event and each actor's `env.emit`.
@@ -27,9 +32,9 @@ each sent `Message`, each transport event and each actor's `env.emit`.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple
 
 from . import wire
@@ -111,12 +116,15 @@ class AcceptInfo(NamedTuple):
 class ChannelEnd:
     """One end of an ordered reliable duplex byte stream, on either fabric.
 
-    Data and a peer's close that come before `set_handlers` wait here, and
-    are replayed in order once it is called. A subclass sends and closes (a
-    no-op on a closed end), and hands what arrives to `_arrive` and
-    `_peer_closed`; a closed end ignores late data. Once a close is handed
-    to the handler, or the end is closed by its own side, the end lets its
-    handlers go. Ends hash by identity."""
+    Whoever gets an end, from `connect` or in an `on_accept`, sets its
+    handlers or closes it in that same callback; no end holds data for
+    handlers set later. Data that reaches an open end without handlers
+    raises in the receiving actor's callback, which ends the run in the
+    verdict `loop_errors`. A subclass sends and closes (a no-op on a closed
+    end), and hands what arrives to `_arrive` and `_peer_closed`; a closed
+    end ignores late data. Once a close is handed to the handler, or the end
+    is closed by its own side, the end lets its handlers go. Ends hash by
+    identity."""
 
     def __init__(self, local: Endpoint, remote: Endpoint, kind: str):
         self.local = local
@@ -125,8 +133,6 @@ class ChannelEnd:
         self._open = True
         self.on_data: Callable[[ChannelEnd, bytes], None] | None = None
         self.on_close: Callable[[ChannelEnd], None] | None = None
-        self._inbox: list[bytes] = []
-        self._pending_close = False
 
     @property
     def is_open(self) -> bool:
@@ -135,27 +141,13 @@ class ChannelEnd:
     def set_handlers(self, on_data, on_close) -> None:
         self.on_data = on_data
         self.on_close = on_close
-        if self._inbox:  # data that came before the handlers, in order
-            inbox, self._inbox = self._inbox, []
-            for data in inbox:
-                self.on_data(self, data)
-        if self._pending_close:
-            self._pending_close = False
-            self._peer_closed()
 
     def _arrive(self, data: bytes) -> None:
-        if not self._open:
-            return
-        if self.on_data is None:
-            self._inbox.append(data)
-        else:
+        if self._open:
             self.on_data(self, data)
 
     def _peer_closed(self) -> None:
-        """The peer closed this end: tell the handler, now or once set."""
-        if self.on_data is None and self.on_close is None:
-            self._pending_close = True
-            return
+        """The peer closed this end: tell the handler, if one is set."""
         on_close = self.on_close
         self._drop_handlers()
         if on_close is not None:
@@ -240,29 +232,76 @@ class Listener:
 
 
 class Timer:
-    def __init__(self) -> None:
-        self.alive = True
+    """A callback in a `TimerQueue`, on either fabric: `fn`, its `tag`, its
+    `period` (None for a one-shot timer) and its `tie`, the key that orders
+    timers due at the same time. `queue` is the queue that holds it while
+    it is queued and alive."""
 
-    def cancel(self) -> None:
-        self.alive = False
+    __slots__ = ("fn", "tag", "period", "tie", "alive", "queue")
 
-
-class _SimTimer(Timer):
-    """A timer of the simulator's queue, and its queue entry. While it is
-    queued and alive, its tag is counted in `pending`, so that the pending
-    tags need no walk of the queue. It is queued at most once at a time."""
-
-    def __init__(self, pending: dict[str, int], fn, tag: str) -> None:
-        super().__init__()
-        self._pending = pending
+    def __init__(self, fn, tag: str, period, tie: float = 0.0):
         self.fn = fn
         self.tag = tag
-        self.queued = False
+        self.period = period
+        self.tie = tie
+        self.alive = True
+        self.queue: TimerQueue | None = None
 
     def cancel(self) -> None:
-        if self.alive and self.queued:
-            self._pending[self.tag] -= 1
+        if self.alive and self.queue is not None:
+            self.queue.live[self.tag] -= 1
         self.alive = False
+
+
+class TimerQueue(list):
+    """A fabric's one timer queue: the heap itself, of (due, tie, seq,
+    Timer) entries, with `seq` from `next_seq`. It is the only record of a
+    fabric's outstanding work, and `live` counts its live timers per tag, so
+    that the tags need no walk of the heap. A cancelled timer's entry stays
+    until it comes to the top or a push compacts the heap."""
+
+    __slots__ = ("_next_seq", "_compact_at", "live")
+
+    def __init__(self, next_seq: Callable[[], int]):
+        super().__init__()
+        self._next_seq = next_seq
+        self._compact_at = _QUEUE_COMPACT_MIN
+        self.live: dict[str, int] = {}
+
+    def push(self, due, timer: Timer) -> None:
+        if len(self) >= self._compact_at:
+            # A cancelled timer (most are request timeouts) would wait for
+            # its time; drop them here so that the heap stays within twice
+            # its live entries. (due, tie, seq) is a total order, so the
+            # live entries still run in the same order.
+            self[:] = [e for e in self if e[3].alive]
+            heapify(self)
+            self._compact_at = max(_QUEUE_COMPACT_MIN, 2 * len(self))
+        heappush(self, (due, timer.tie, self._next_seq(), timer))
+        timer.queue = self
+        self.live[timer.tag] = self.live.get(timer.tag, 0) + 1
+
+    def pop_live(self, until=None) -> tuple | None:
+        """The first live entry, taken off the heap, if it is due by
+        `until` (or whenever, when None); else None."""
+        while self and (until is None or self[0][0] <= until):
+            entry = heappop(self)
+            timer = entry[3]
+            if timer.alive:
+                timer.queue = None
+                self.live[timer.tag] -= 1
+                return entry
+        return None
+
+    def next_due(self):
+        """When the first live timer is due, or None when none is queued."""
+        while self and not self[0][3].alive:
+            heappop(self)
+        return self[0][0] if self else None
+
+    def tags(self) -> set[str]:
+        """The tags of the live timers."""
+        return {tag for tag, n in self.live.items() if n}
 
 
 class SimNetwork:
@@ -276,9 +315,8 @@ class SimNetwork:
         self._latency_fn = latency_fn
         self._now = 0
         self._seq = 0
-        self._queue: list[tuple[int, float, int, _SimTimer]] = []
-        self._pending: dict[str, int] = {}  # tag -> live queued entries
-        self._compact_at = _QUEUE_COMPACT_MIN
+        # Queue entries and trace records share one numbering.
+        self._queue = TimerQueue(self._next_seq)
         # Each node's ephemeral ports; a node in `_down` has died.
         self._ports: dict[str, PortPool] = {}
         self._down: set[str] = set()
@@ -308,20 +346,6 @@ class SimNetwork:
         if self.observer is not None:
             self.observer.on_event(seq, kind, src, dst, detail)
 
-    def _push(self, time_ms: int, tie: float, timer: _SimTimer) -> None:
-        queue = self._queue
-        if len(queue) >= self._compact_at:
-            # A cancelled timer (most are request timeouts) would wait for
-            # its time; drop them here so that the queue stays within twice
-            # its live entries. (time, tie, seq) is a total order, so the
-            # live entries still run in the same order.
-            queue[:] = [e for e in queue if e[3].alive]
-            heapq.heapify(queue)
-            self._compact_at = max(_QUEUE_COMPACT_MIN, 2 * len(queue))
-        heapq.heappush(queue, (time_ms, tie, self._next_seq(), timer))
-        timer.queued = True
-        self._pending[timer.tag] = self._pending.get(timer.tag, 0) + 1
-
     def _hop_latency(self) -> int:
         if self._latency_fn is not None:
             return max(1, int(self._latency_fn(self._rng)))
@@ -329,75 +353,66 @@ class SimNetwork:
 
     def _after_channel(self, ch: Channel, fn, tag: str = "net") -> Timer:
         """Channel events keep send order even under drawn latencies."""
-        timer = _SimTimer(self._pending, fn, tag)
+        timer = Timer(fn, tag, None, ch._tie)
         time_ms = max(self._now + self._hop_latency(), ch._floor)
         ch._floor = time_ms
-        self._push(time_ms, ch._tie, timer)
+        self._queue.push(time_ms, timer)
         return timer
+
+    def _push_by_horizon(self, due: int, timer: Timer) -> None:
+        """Queue `timer` unless it is due past the horizon."""
+        if self.horizon_ms is None or due <= self.horizon_ms:
+            self._queue.push(due, timer)
 
     def schedule(self, delay_ms: int, fn, tag: str = "timer") -> Timer:
         """Run `fn` after `delay_ms`. A `retry` due past the horizon is
         dropped, as repeating ticks are, so that an actor retrying for ever
         (an agent whose manager died) cannot keep the run going."""
-        timer = _SimTimer(self._pending, fn, tag)
-        tie = self._rng.random()
+        timer = Timer(fn, tag, None, self._rng.random())
         due = self._now + delay_ms
-        if tag != "retry" or self.horizon_ms is None or due <= self.horizon_ms:
-            self._push(due, tie, timer)
+        if tag == "retry":
+            self._push_by_horizon(due, timer)
+        else:
+            self._queue.push(due, timer)
         return timer
 
     def schedule_abs(self, time_ms: int, fn, tag: str = "timeline") -> Timer:
         """Run at an absolute time, before same-time network events, in
         scheduling order (tie below the [0, 1) range used elsewhere)."""
-        timer = _SimTimer(self._pending, fn, tag)
-        self._push(time_ms, -1.0, timer)
+        timer = Timer(fn, tag, None, -1.0)
+        self._queue.push(time_ms, timer)
         return timer
 
     def schedule_repeating(self, period_ms: int, fn, tag: str = "tick") -> Timer:
-        def fire():
-            try:
-                fn()
-            finally:  # a tick that raised keeps its period, as over TCP
-                nxt = self._now + period_ms
-                if timer.alive and (self.horizon_ms is None or nxt <= self.horizon_ms):
-                    self._push(nxt, tie, timer)
-
-        timer = _SimTimer(self._pending, fire, tag)
-        tie = self._rng.random()
-        first = self._now + period_ms
-        if self.horizon_ms is None or first <= self.horizon_ms:
-            self._push(first, tie, timer)
+        """Run `fn` every `period_ms` up to the horizon, until cancelled."""
+        timer = Timer(fn, tag, period_ms, self._rng.random())
+        self._push_by_horizon(self._now + period_ms, timer)
         return timer
 
     def step(self) -> bool:
-        """Execute the next queued entry; False when the queue is drained."""
-        while self._queue:
-            time_ms, _tie, _seq, timer = heapq.heappop(self._queue)
-            if not timer.alive:
-                continue
-            timer.queued = False
-            self._pending[timer.tag] -= 1
-            self._now = max(self._now, time_ms)
+        """Execute the next live timer; False when none is queued."""
+        entry = self._queue.pop_live()
+        if entry is None:
+            return False
+        time_ms, _tie, _seq, timer = entry
+        self._now = max(self._now, time_ms)
+        try:
             timer.fn()
-            return True
-        return False
+        finally:  # a tick that raised keeps its period, as over TCP
+            if timer.period is not None and timer.alive:
+                self._push_by_horizon(self._now + timer.period, timer)
+        return True
 
     def run(self, until_ms: int | None = None) -> None:
         """Step until the queue is drained or the next live entry is due
         after `until_ms`."""
-        queue = self._queue
-        while queue:
-            time_ms, _tie, _seq, timer = queue[0]
-            if not timer.alive:
-                heapq.heappop(queue)
-            elif until_ms is not None and time_ms > until_ms:
-                return
-            else:
-                self.step()
+        while (due := self._queue.next_due()) is not None \
+                and (until_ms is None or due <= until_ms):
+            self.step()
 
     def pending_tags(self) -> set[str]:
         """The tags of the live entries in the queue."""
-        return {tag for tag, n in self._pending.items() if n}
+        return self._queue.tags()
 
     # -- topology -----------------------------------------------------------
 

@@ -8,6 +8,7 @@ from ssmmp import wire
 from ssmmp.agent import (_RELAY, INSTANCE_TIMEOUT_MS, AgentConfig,
                          rewrite_for_relay)
 from ssmmp.graph import parse_graph_file
+from ssmmp.transport import Endpoint
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -146,6 +147,26 @@ def test_execution_statuses(fig1_graph):
     agent.handle_execution_request(_exec_request(
         13, iid=3, sockets="((S, 25000))"))
     assert sent[-1].status == wire.CONFLICT
+
+
+def test_a_control_connect_naming_a_non_ascii_instance_id_is_closed(
+        fig1_graph):
+    """The instance id in a runtime's connect metadata comes from outside
+    the program: "\u0663" is a decimal digit, but names no instance."""
+    net, cluster, agent = _one_node(fig1_graph)
+    _capture_upward(agent)
+    agent.handle_execution_request(_exec_request(10, iid=3))
+    net.run(until_ms=net.now_ms() + 50)
+    li = agent.instances[("B", 3)]
+    dialled = li.channel
+    ch, _m, _l = net.connect(
+        "fd00::a1", Endpoint("fd00::a1", agent.config.agent_port),
+        kind="control", meta={"service": "B", "instance": "\u0663"})
+    closed = []
+    ch.set_handlers(lambda ch, data: None, lambda ch: closed.append(ch))
+    net.run(until_ms=net.now_ms() + 50)
+    assert closed == [ch]
+    assert li.channel is dialled and dialled.is_open
 
 
 def test_execution_bind_race_reports_409(fig1_graph):

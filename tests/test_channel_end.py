@@ -79,18 +79,20 @@ def test_both_fabrics_share_one_channel_end():
         assert "set_handlers" not in vars(cls)
 
 
-def test_data_and_close_before_handlers_are_replayed_in_order(fabric):
-    def on_accept(channel, info):
-        channel.send(b"x")
-        channel.close()
-
-    a, end = _connected(fabric, on_accept)
-    assert fabric.settle(lambda: not end.is_open)
-    seen = []
-    a.call(lambda: end.set_handlers(lambda ch, data: seen.append(data),
-                                    lambda ch: seen.append("close")))
-    assert fabric.settle(lambda: len(seen) >= 2)
-    assert seen == [b"x", "close"]
+def test_data_on_an_end_without_handlers_raises_in_the_receiving_actor(
+        fabric):
+    """Whoever gets an end sets its handlers, or closes it, in that same
+    callback; no end keeps data for handlers set later."""
+    accepted = []
+    a, end = _connected(fabric, lambda channel, info: accepted.append(channel))
+    a.call(lambda: end.send(b"x"))
+    if isinstance(fabric, _Sim):
+        with pytest.raises(TypeError):
+            fabric.net.run()
+    else:
+        errors = accepted[0]._loop.errors  # the acceptor's ActorLoop
+        assert fabric.settle(lambda: errors)
+        assert errors[0].startswith("TypeError")
 
 
 def test_messages_cross_in_order_then_the_close(fabric):

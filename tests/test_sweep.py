@@ -3,12 +3,15 @@ visits each trace record once, and catches faults that arrive mid-run."""
 
 import pytest
 
-from conftest import sweep_scenarios
+from conftest import FIXTURES, sweep_scenarios
 
 from ssmmp import wire
 from ssmmp.harness import invariants
+from ssmmp.harness.generator import generate_scenario
 from ssmmp.harness.report import TraceRecord
 from ssmmp.harness.runner import run_scenario
+from ssmmp.harness.scenario import load_scenario, parse_scenario_text
+from ssmmp.transport import SimNetwork
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -129,3 +132,69 @@ def test_each_record_feeds_the_replay_oracle_once(monkeypatch):
     report = run_scenario(scenario, seed=7)
     assert sweeps[0] > 10
     assert feeds[0] == len(report.records)
+
+
+def _correlation_tables(cluster):
+    """Every table that holds an outstanding correlation of an actor."""
+    manager = cluster.manager
+    yield manager._pending
+    yield manager._pending_sessions
+    for agent in cluster.agents.values():
+        yield agent._flows
+        yield agent._pending_health
+        yield from agent._held_requests.values()
+    for rt in cluster.runtimes.values():
+        yield rt._pending_opens
+
+
+def _open_at_sweeps(monkeypatch, runs):
+    """Run each (scenario, seed) with every sweep wrapped: (sweeps, sweeps
+    at which some correlation table was not empty)."""
+    sweep = invariants.sweep
+    counts = [0, 0]
+
+    def guarded(records, manager, cluster, net, **kwargs):
+        counts[0] += 1
+        counts[1] += any(_correlation_tables(cluster))
+        return sweep(records, manager, cluster, net, **kwargs)
+
+    monkeypatch.setattr(invariants, "sweep", guarded)
+    for scenario, seed in runs:
+        run_scenario(scenario, seed)
+    return counts
+
+
+def _muted_health_poll(graph):
+    """fig1 whose gateway answers no health poll, run on for 8 s: a poll's
+    timeout is queued while no message is in flight."""
+    return parse_scenario_text(
+        "manager fd00::1\n"
+        "node fd00::a1 repo=A,B,service-2\n"
+        "node fd00::a2 repo=service-1,service-3,service-4\n"
+        "at 100 set_health A muted\n"
+        "at 100 advance_time 8000\n", name="muted", graph=graph)
+
+
+def test_no_correlation_is_open_at_a_quiescent_point(monkeypatch,
+                                                     fig1_graph):
+    """A point is quiescent when only maintenance timers are queued, since
+    each correlation is recorded by its queued `timeout` timer as well."""
+    muted = (_muted_health_poll(fig1_graph), 1)
+    runs = [(load_scenario(path), seed)
+            for path in sorted(FIXTURES.glob("*.scenario"))
+            for seed in range(3)]
+    runs += [(generate_scenario(seed, profile), seed)
+             for profile in ("establish_close", "mixed")
+             for seed in range(40)]
+    sweeps, open_at = _open_at_sweeps(monkeypatch, runs + [muted])
+    assert sweeps > len(runs) and open_at == 0
+
+    # Timeouts that quiescence does not see: the muted poll's must show.
+    monkeypatch.undo()
+    schedule = SimNetwork.schedule
+
+    def retagged(net, delay_ms, fn, tag="timer"):
+        return schedule(net, delay_ms, fn, "tick" if tag == "timeout" else tag)
+
+    monkeypatch.setattr(SimNetwork, "schedule", retagged)
+    assert _open_at_sweeps(monkeypatch, [muted])[1] > 0

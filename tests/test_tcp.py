@@ -160,7 +160,7 @@ def test_tcp_scenario_events_run_on_the_fabric_thread(monkeypatch):
 
 
 def test_env_calls_off_the_fabric_thread_raise():
-    """Only the I/O thread may touch the timer heap and the selector: from
+    """Only the I/O thread may touch the timer queue and the selector: from
     another thread, each env call that would raises before it binds,
     dials or queues anything."""
     fabric = TcpFabric()
@@ -173,7 +173,7 @@ def test_env_calls_off_the_fabric_thread_raise():
                      lambda: env.connect(Endpoint("fd00::a1", 7000))):
             with pytest.raises(RuntimeError):
                 call()
-        assert fabric._listeners == set() and fabric._io._timers == []
+        assert fabric._listeners == set() and fabric._io._queue == []
         assert fabric._session_ports["fd00::a1"].allocated == set()
         # On the loop the same listen binds the port the refused one left.
         _on_loop(env, lambda: env.listen(7000, lambda channel, info: None))
@@ -479,7 +479,9 @@ def acceptor():
 @pytest.mark.parametrize("preamble", [
     b"connect foo\n", b"connect \xff=1\n", b"hello plug=P\n",
     b"connect plug=P\n", b"connect session=x\n", b"connect session=39999\n",
-    b"connect session=65536\n"])
+    b"connect session=65536\n",
+    # Arabic-Indic digits for 40000: decimal to str.isdecimal and int()
+    "connect session=\u0664\u0660\u0660\u0660\u0660\n".encode()])
 def test_malformed_preamble_closes_the_connection(acceptor, preamble):
     fabric, accepted = acceptor
     with socket.create_connection((fabric.ip("fd00::a1"), 7000),
