@@ -4,10 +4,11 @@ The agent owns a repository of executable services, spawns runtimes on the
 control plane's request, and forwards messages in both directions, rewriting
 only the route tag (and inserting its own address where the upstream template
 adds it). It polls instance health and reports abnormal results upward.
-Each session establishment it relays is one entry of `_flows`, from the
-request until the manager's refusal or the instance's ack. An instance stays
-in `instances` exactly while the agent regards it as running: a graceful
-exit, a hard kill or a detected death removes it.
+Each session establishment it relays is one entry of the `Correlations`
+table `_flows`, from the request until the manager's refusal or the
+instance's ack, and each health poll one of `_pending_health`. An instance
+stays in `instances` exactly while the agent regards it as running: a
+graceful exit, a hard kill or a detected death removes it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
-from .transport import (ConnectionRefused, Endpoint, NodeDown, read_messages,
-                        send_message)
+from .transport import (ConnectionRefused, Correlations, Endpoint, NodeDown,
+                        read_messages, send_message)
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -47,7 +48,6 @@ class _Flow:
     """A session establishment relayed upstream and not yet finished."""
 
     instance: LocalInstance
-    timer: object
     awaiting_ack: bool = False  # the 200 went down; the ack has not come up
 
 
@@ -69,20 +69,7 @@ class SpawnError(Exception):
 _check_agent_address = wire.FIELD_CHECKS["agent_network_address"]
 
 # Relay rewrite map: (type, inbound sub_type) -> outbound sub_type.
-_RELAY = {
-    (MT.SESSION_REQUEST, ST.SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.SESSION_ACK, ST.SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.SESSION_RESPONSE, ST.MANAGER_TO_AGENT): ST.AGENT_TO_SERVICE,
-    (MT.SOURCE_SESSION_CLOSE_INFO, ST.SOURCE_SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.DEST_SESSION_CLOSE_INFO, ST.DEST_SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.SOURCE_SESSION_CLOSE_REQUEST, ST.MANAGER_TO_AGENT): ST.AGENT_TO_SOURCE_SERVICE,
-    (MT.SOURCE_SESSION_CLOSE_RESPONSE, ST.SOURCE_SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.DEST_SESSION_CLOSE_REQUEST, ST.MANAGER_TO_AGENT): ST.AGENT_TO_DEST_SERVICE,
-    (MT.DEST_SESSION_CLOSE_RESPONSE, ST.DEST_SERVICE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.GRACEFUL_SHUTDOWN_REQUEST, ST.MANAGER_TO_AGENT): ST.AGENT_TO_SERVICE_INSTANCE,
-    (MT.GRACEFUL_SHUTDOWN_RESPONSE, ST.SERVICE_INSTANCE_TO_AGENT): ST.AGENT_TO_MANAGER,
-    (MT.HEALTH_CONTROL_RESPONSE, ST.SERVICE_INSTANCE_TO_AGENT): ST.AGENT_TO_MANAGER,
-}
+_RELAY = {(t, sub_in): sub_out for t, sub_in, sub_out, _names in wire.RELAYED}
 
 
 def rewrite_for_relay(msg: Message, agent_address: str) -> Message:
@@ -117,13 +104,17 @@ class Agent:
         self.alive = True
         self._ids = wire.IdCounter()
         self._manager_ch = None
-        self._flows: dict[int, _Flow] = {}
+        # Safety valve: past the upstream's own expiry window a flow is
+        # abandoned and the next same-id request may proceed.
+        self._flows = Correlations(env, INSTANCE_TIMEOUT_MS + 200,
+                                   lambda mid, _flow: self._release_held(mid))
         # Correlation discipline: message ids are per originator, so two local
         # instances may reuse one id. Establishment replies and acks carry no
         # originator identity; only one flow per id may be outstanding at a
         # time, later ones wait here until the current one terminates.
         self._held_requests: dict[int, deque] = {}
-        self._pending_health: dict[int, tuple[LocalInstance, object]] = {}
+        self._pending_health = Correlations(env, INSTANCE_TIMEOUT_MS,
+                                            self._health_timeout)
         self._timers: list[object] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -186,7 +177,8 @@ class Agent:
     def _on_runtime_connect(self, channel, info) -> None:
         iid = info.meta.get("instance", "")
         li = (self.instances.get((info.meta.get("service", ""), int(iid)))
-              if iid.isascii() and iid.isdecimal() else None)
+              if iid.isascii() and iid.isdecimal()
+              and len(iid) <= wire.ID_DIGITS else None)
         if li is None:
             channel.close()
             return
@@ -248,24 +240,15 @@ class Agent:
             key = (msg.get("service_name"), msg.get_int("service_instance_id"))
         return self.instances.get(key)
 
-    _FAILURE_RESPONSE = {
-        MT.SOURCE_SESSION_CLOSE_REQUEST:
-            (MT.SOURCE_SESSION_CLOSE_RESPONSE, ST.AGENT_TO_MANAGER),
-        MT.DEST_SESSION_CLOSE_REQUEST:
-            (MT.DEST_SESSION_CLOSE_RESPONSE, ST.AGENT_TO_MANAGER),
-        MT.GRACEFUL_SHUTDOWN_REQUEST:
-            (MT.GRACEFUL_SHUTDOWN_RESPONSE, ST.AGENT_TO_MANAGER),
-    }
-
     def _forward_to_instance(self, msg: Message) -> None:
         li = self._target_of(msg)
         delivered = li is not None and send_message(
             li.channel, rewrite_for_relay(msg, self.node_addr))
         if not delivered:
             # Dead or missing instance: answer for it so the flow resolves.
-            mt, sub = self._FAILURE_RESPONSE[msg.msg_type]
             self._to_manager(wire.make_message(
-                mt, msg.message_id, sub, status=wire.UNREACHABLE))
+                wire.RESPONSE_TO[msg.msg_type], msg.message_id,
+                ST.AGENT_TO_MANAGER, status=wire.UNREACHABLE))
 
     # -- messages from instances ----------------------------------------------
 
@@ -305,16 +288,10 @@ class Agent:
                 dest_socket_port=65535))
             self._release_held(mid)
             return
-        # Safety valve: past the upstream's own expiry window the flow is
-        # abandoned and the next same-id request may proceed.
-        self._flows[mid] = _Flow(li, self.env.schedule(
-            INSTANCE_TIMEOUT_MS + 200,
-            lambda: self._session_flow_done(mid), tag="timeout"))
+        self._flows.add(mid, _Flow(li))
 
     def _session_flow_done(self, mid: int) -> None:
-        flow = self._flows.pop(mid, None)
-        if flow is not None:
-            flow.timer.cancel()
+        self._flows.take(mid)
         self._release_held(mid)
 
     def _release_held(self, mid: int) -> None:
@@ -392,23 +369,14 @@ class Agent:
             if not sent:
                 self._lost(li)
                 continue
-            timer = self.env.schedule(
-                INSTANCE_TIMEOUT_MS,
-                lambda m=mid: self._health_timeout(m), tag="timeout")
-            self._pending_health[mid] = (li, timer)
+            self._pending_health.add(mid, li)
 
-    def _health_timeout(self, mid: int) -> None:
-        entry = self._pending_health.pop(mid, None)
-        if entry is None:
-            return
-        li, _timer = entry
+    def _health_timeout(self, _mid: int, li: LocalInstance) -> None:
         self.env.emit("log", f"instance {li.key} silent, synthesizing 500")
         self._report_health(li, wire.INTERNAL_ERROR)
 
     def _on_health_response(self, li: LocalInstance, msg: Message) -> None:
-        entry = self._pending_health.pop(msg.message_id, None)
-        if entry is not None:
-            entry[1].cancel()
+        self._pending_health.take(msg.message_id)
         if msg.status != wire.OK:
             self._to_manager(rewrite_for_relay(msg, self.node_addr))
 

@@ -129,17 +129,6 @@ def check_isolation(manager: Manager) -> Verdict:
     return Verdict(True, "isolation_completeness")
 
 
-_RESPONSE_OF = {
-    MT.INITIATION_RESPONSE: MT.INITIATION_REQUEST,
-    MT.EXECUTION_RESPONSE: MT.EXECUTION_REQUEST,
-    MT.SESSION_RESPONSE: MT.SESSION_REQUEST,
-    MT.SOURCE_SESSION_CLOSE_RESPONSE: MT.SOURCE_SESSION_CLOSE_REQUEST,
-    MT.DEST_SESSION_CLOSE_RESPONSE: MT.DEST_SESSION_CLOSE_REQUEST,
-    MT.GRACEFUL_SHUTDOWN_RESPONSE: MT.GRACEFUL_SHUTDOWN_REQUEST,
-    MT.HARD_SHUTDOWN_RESPONSE: MT.HARD_SHUTDOWN_REQUEST,
-}
-
-
 # ---------------------------------------------------------------------------
 # Replay oracle
 
@@ -240,20 +229,10 @@ class ReplayOracle:
             self._open[key] = sess
         elif mt in (MT.SOURCE_SESSION_CLOSE_INFO, MT.DEST_SESSION_CLOSE_INFO) \
                 and msg.sub_type is ST.AGENT_TO_MANAGER:
-            self._close_key(
-                (msg.get("source_service_instance_network_address"),
-                 msg.get_int("source_plug_port"),
-                 msg.get("dest_service_instance_network_address"),
-                 msg.get_int("dest_socket_port"),
-                 msg.get_int("dest_socket_new_port")))
+            self._close_key(msg.session_key())
         elif mt in (MT.SOURCE_SESSION_CLOSE_REQUEST, MT.DEST_SESSION_CLOSE_REQUEST) \
                 and msg.sub_type is ST.MANAGER_TO_AGENT:
-            self._pending_close[msg.message_id] = (
-                msg.get("source_service_instance_network_address"),
-                msg.get_int("source_plug_port"),
-                msg.get("dest_service_instance_network_address"),
-                msg.get_int("dest_socket_port"),
-                msg.get_int("dest_socket_new_port"))
+            self._pending_close[msg.message_id] = msg.session_key()
         elif mt in (MT.SOURCE_SESSION_CLOSE_RESPONSE, MT.DEST_SESSION_CLOSE_RESPONSE):
             key = self._pending_close.pop(msg.message_id, None)
             if key is not None and (wire.is_success(msg.status)
@@ -344,7 +323,7 @@ class TraceChecker:
                 return
             if self._leak is None:
                 self._leak = _record_leak(rec, msg)
-            request_type = _RESPONSE_OF.get(msg.msg_type)
+            request_type = wire.REQUEST_OF.get(msg.msg_type)
             if request_type is None:
                 self._seen_requests.add(
                     (rec.src, rec.dst, msg.message_id, msg.msg_type))

@@ -38,13 +38,12 @@ from .scenario import Scenario, ScenarioEvent
 
 USER_NODE = "fd00::ee"
 BOOT_APP_AT_MS = 50
-# The fabric's timer queue is the only record of outstanding work: each
-# correlation table entry (a manager's `_pending` and `_pending_sessions`,
-# an agent's `_flows` and `_pending_health`, a runtime's `_pending_opens`)
-# is made together with a queued `timeout` timer and leaves its table
-# exactly when that timer fires or is cancelled, and an agent's
-# `_held_requests` wait only behind a flow. So a point is quiescent when
-# the queue holds no live timer but these.
+# The fabric's timer queue is the only record of outstanding work: every
+# request an actor awaits is an entry of a `transport.Correlations` table,
+# which queues the entry's `timeout` timer with it and cancels the timer as
+# the entry leaves, and an agent's `_held_requests` wait only behind one of
+# its flows. So a point is quiescent when the queue holds no live timer but
+# these.
 MAINTENANCE_TAGS = {"tick", "timeline", "retry"}
 TRACE_CHECKS = {"choreography", "replay_matches"}
 
@@ -279,12 +278,7 @@ def _check_choreography(ctx: RunContext, a: str, p: str, b: str, s: str
 
 def _session_row_complete(sess) -> bool:
     return (sess is not None and sess.complete()
-            and all(v not in (None, "") for v in (
-                sess.source_service_name, sess.source_address,
-                sess.source_instance_id, sess.plug_name, sess.plug_port,
-                sess.dest_service_name, sess.dest_address,
-                sess.dest_instance_id, sess.socket_name, sess.socket_port,
-                sess.session_port)))
+            and all(v not in (None, "") for v in sess.params().values()))
 
 
 def _instance_record(manager, args: tuple[str, ...]):

@@ -2,8 +2,10 @@
 
 One logical state machine; every inbound message and timer tick runs to
 completion before the next. Each request sent to an agent (execution,
-session close, graceful or hard shutdown) waits in `_pending` under its
-message id, behind one send path, one timeout handler and one response path.
+session close, graceful or hard shutdown) waits in the `Correlations` table
+`_pending` under its message id, behind one send path, one timeout handler
+and one response path; each session request answered 200 waits in
+`_pending_sessions` for its ack.
 Flows that need a remote step first (spawning a destination instance,
 draining sessions before a graceful shutdown) resume when it resolves.
 `instances` holds the instances that have not ended (starting, running or
@@ -19,7 +21,7 @@ from typing import Iterable
 
 from . import wire
 from .graph import AbstractGraph, ServiceKind, outgoing_connections
-from .transport import PortPool, read_messages, send_message
+from .transport import Correlations, PortPool, read_messages, send_message
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -109,6 +111,22 @@ class SessionRecord:
     def complete(self) -> bool:
         return self.plug_port is not None and self.session_port is not None
 
+    def params(self) -> dict[str, object]:
+        """The eleven session parameters, by wire field name."""
+        return {
+            "source_service_name": self.source_service_name,
+            "source_service_instance_network_address": self.source_address,
+            "source_service_instance_id": self.source_instance_id,
+            "source_plug_name": self.plug_name,
+            "source_plug_port": self.plug_port,
+            "dest_service_name": self.dest_service_name,
+            "dest_service_instance_network_address": self.dest_address,
+            "dest_service_instance_id": self.dest_instance_id,
+            "dest_socket_name": self.socket_name,
+            "dest_socket_port": self.socket_port,
+            "dest_socket_new_port": self.session_port,
+        }
+
 
 class NameNotFound(KeyError):
     pass
@@ -160,7 +178,6 @@ class _Pending:
     hard: bool = False  # a shutdown: hard rather than graceful
     # An exec's session requests, answered once the instance runs.
     parked: list[tuple[str, Message]] = field(default_factory=list)
-    timer: object | None = None
 
 
 # request kind -> how the journal names the request and its response, and
@@ -224,10 +241,11 @@ class Manager:
         self._channels: dict[str, object] = {}       # agent addr -> channel
         self._channel_addr: dict[object, str] = {}   # channel -> agent addr
         self._pools: dict[str, PortPool] = {}
-        self._pending: dict[int, _Pending] = {}
-        # (source agent, request id) -> (record, expiry timer)
-        self._pending_sessions: dict[tuple[str, int],
-                                     tuple[SessionRecord, object]] = {}
+        self._pending = Correlations(env, REQUEST_TIMEOUT_MS,
+                                     self._request_timeout)
+        # (source agent, request id) -> the record its ack completes
+        self._pending_sessions = Correlations(env, REQUEST_TIMEOUT_MS,
+                                              self._expire_pending_session)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -401,22 +419,17 @@ class Manager:
         """Send `msg` to `pending.agent` and keep `pending` until its
         response or timeout; a failed send resolves it as unreachable."""
         mid = msg.message_id
-        pending.timer = self.env.schedule(
-            REQUEST_TIMEOUT_MS,
-            lambda: self._request_timeout(mid), tag="timeout")
-        self._pending[mid] = pending
+        self._pending.add(mid, pending)
         if self._send(pending.agent, msg):
             return True
         if mid in self._pending:  # a probe may have resolved it
-            self._resolve(mid, wire.UNREACHABLE)
+            self._resolve(self._pending.take(mid), wire.UNREACHABLE)
         return False
 
-    def _request_timeout(self, mid: int) -> None:
-        pending = self._pending.get(mid)
-        if pending is not None:
-            self._log(f"{_REQUEST_KINDS[pending.kind][0]} {mid} timed out")
-            self._resolve(mid, wire.TIMEOUT)
-            self._probe_agent(pending.agent)
+    def _request_timeout(self, mid: int, pending: _Pending) -> None:
+        self._log(f"{_REQUEST_KINDS[pending.kind][0]} {mid} timed out")
+        self._resolve(pending, wire.TIMEOUT)
+        self._probe_agent(pending.agent)
 
     def handle_response(self, addr: str, msg: Message) -> None:
         """An execution, close or shutdown response: it resolves the pending
@@ -427,14 +440,13 @@ class Manager:
             self._log(f"{_REQUEST_KINDS[kind][1]} with unknown id "
                       f"{msg.message_id}")
             return
-        self._resolve(msg.message_id, msg.status)
+        self._resolve(self._pending.take(msg.message_id), msg.status)
 
     # Close responses keep a name of their own so that a tracer can wrap them.
     handle_close_response = handle_response
 
-    def _resolve(self, mid: int, status: int) -> None:
-        pending = self._pending.pop(mid)
-        pending.timer.cancel()
+    def _resolve(self, pending: _Pending, status: int) -> None:
+        """Finish `pending`, which has left `_pending`."""
         getattr(self, _REQUEST_KINDS[pending.kind][2])(pending, status)
 
     def _probe_agent(self, addr: str) -> None:
@@ -505,7 +517,7 @@ class Manager:
 
         running = self.running_instances(b)
         if not running:
-            starting = [x for x in self._pending.values()
+            starting = [x for _mid, x in self._pending.items()
                         if x.kind == "exec" and x.subject.service == b]
             if starting:
                 starting[0].parked.append((source_addr, msg))
@@ -514,7 +526,7 @@ class Manager:
             if exec_mid is None:
                 self._respond_session(source_addr, mid, wire.NO_BYTECODE)
                 return
-            self._pending[exec_mid].parked.append((source_addr, msg))
+            self._pending.get(exec_mid).parked.append((source_addr, msg))
             return
 
         # The least-loaded instance; ties go to the lowest (node, id).
@@ -527,24 +539,20 @@ class Manager:
             dest_service_name=b, dest_address=dest.node_address,
             dest_instance_id=dest.instance_id, socket_name=s,
             socket_port=k, session_port=None)
-        self._pending_sessions[key] = (record, self.env.schedule(
-            REQUEST_TIMEOUT_MS,
-            lambda: self._expire_pending_session(key), tag="timeout"))
+        self._pending_sessions.add(key, record)
         self._respond_session(source_addr, mid, wire.OK, dest.node_address, k)
 
-    def _expire_pending_session(self, key: tuple[str, int]) -> None:
-        if self._pending_sessions.pop(key, None) is not None:
-            self._log(f"pending session {key} expired without ack")
+    def _expire_pending_session(self, key: tuple[str, int],
+                                _record: SessionRecord) -> None:
+        self._log(f"pending session {key} expired without ack")
 
     def handle_session_ack(self, addr: str, msg: Message) -> None:
         key = (addr, msg.message_id)
-        entry = self._pending_sessions.pop(key, None)
-        if entry is None:
+        record = self._pending_sessions.take(key)
+        if record is None:
             self._log(f"ack without pending session {key} (duplicate or late): "
                       f"{wire.ALREADY_CLOSED}")
             return
-        record, timer = entry
-        timer.cancel()
         if not wire.is_success(msg.status):
             self._log(f"session establishment failed with {msg.status} for {key}")
             return
@@ -608,11 +616,7 @@ class Manager:
                 self._maybe_finish_drain(inst)
 
     def handle_close_info(self, addr: str, msg: Message) -> None:
-        key = (msg.get("source_service_instance_network_address"),
-               msg.get_int("source_plug_port"),
-               msg.get("dest_service_instance_network_address"),
-               msg.get_int("dest_socket_port"),
-               msg.get_int("dest_socket_new_port"))
+        key = msg.session_key()
         record = self._open_sessions.get(key)
         if record is not None:
             self._close_session(record, "reported")
@@ -631,31 +635,12 @@ class Manager:
         if agent is None or agent.status is not AgentStatus.UP:
             return None
         mid = self._ids.next()
-        if side == "source":
-            msg = wire.make_message(
-                MT.SOURCE_SESSION_CLOSE_REQUEST, mid, ST.MANAGER_TO_AGENT,
-                source_service_name=record.source_service_name,
-                source_service_instance_network_address=record.source_address,
-                source_service_instance_id=record.source_instance_id,
-                source_plug_name=record.plug_name,
-                source_plug_port=record.plug_port,
-                dest_service_name=record.dest_service_name,
-                dest_service_instance_network_address=record.dest_address,
-                dest_socket_name=record.socket_name,
-                dest_socket_port=record.socket_port,
-                dest_socket_new_port=record.session_port)
-        else:
-            msg = wire.make_message(
-                MT.DEST_SESSION_CLOSE_REQUEST, mid, ST.MANAGER_TO_AGENT,
-                source_service_instance_network_address=record.source_address,
-                source_plug_name=record.plug_name,
-                source_plug_port=record.plug_port,
-                dest_service_name=record.dest_service_name,
-                dest_service_instance_network_address=record.dest_address,
-                dest_service_instance_id=record.dest_instance_id,
-                dest_socket_name=record.socket_name,
-                dest_socket_port=record.socket_port,
-                dest_socket_new_port=record.session_port)
+        mt = (MT.SOURCE_SESSION_CLOSE_REQUEST if side == "source"
+              else MT.DEST_SESSION_CLOSE_REQUEST)
+        params = record.params()
+        msg = wire.make_message(mt, mid, ST.MANAGER_TO_AGENT, **{
+            name: params[name]
+            for name in wire.TEMPLATES[mt, ST.MANAGER_TO_AGENT]})
         if not self._request(_Pending("close", addr, record), msg):
             return None
         return mid
@@ -693,7 +678,7 @@ class Manager:
         if instance.key in self._sessions_by_instance:
             return
         if any(p.kind == "shutdown" and p.subject is instance
-               for p in self._pending.values()):
+               for _mid, p in self._pending.items()):
             return
         self._send_shutdown(instance, hard=False)
 
@@ -771,18 +756,17 @@ class Manager:
             elif s.dest_address == addr and s.source_address != addr:
                 self.request_session_close(s, "source")
             self._close_session(s, "node_isolated")
-        drop = [k for k, (r, _timer) in self._pending_sessions.items()
-                if r.touches_node(addr)]
-        for k in drop:
-            self._log(f"pending session {k} dropped by isolation")
-            self._pending_sessions.pop(k)[1].cancel()
+        for k, r in self._pending_sessions.items():
+            if r.touches_node(addr):
+                self._log(f"pending session {k} dropped by isolation")
+                self._pending_sessions.take(k)
         for inst in [i for i in self.instances.values()
                      if i.node_address == addr]:
             self._mark_instance_closed(inst, "node_isolated")
         for kind in ("exec", "shutdown", "close"):
-            for mid in [m for m, p in self._pending.items()
-                        if p.kind == kind and p.agent == addr]:
-                self._resolve(mid, wire.UNREACHABLE)
+            for mid, p in self._pending.items():
+                if p.kind == kind and p.agent == addr:
+                    self._resolve(self._pending.take(mid), wire.UNREACHABLE)
 
     # -- health ------------------------------------------------------------
 

@@ -8,7 +8,8 @@ the source instance id or service name.
 
 The runtime holds its open sessions in one table, keyed by role and the
 session's (m, k, l) ports, so a manager-requested close is one lookup; a
-closed handle leaves the table.
+closed handle leaves the table. Each session it asks for waits in the
+`Correlations` table `_pending_opens` until the agent's answer or a timeout.
 
 Business logic is a pluggable scripted behavior. The default one answers an
 incoming request by walking its plugs in order (open, send the task on, wait
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
-from .transport import (ChannelClosed, ConnectionRefused, Endpoint, NodeDown,
-                        TransportError, read_messages, send_message)
+from .transport import (ChannelClosed, ConnectionRefused, Correlations,
+                        Endpoint, NodeDown, TransportError, read_messages,
+                        send_message)
 from .wire import Message, MessageType as MT, SubType as ST
 
 
@@ -86,7 +88,6 @@ class _PendingOpen:
     socket: str
     on_established: Callable | None
     on_failed: Callable | None
-    timer: object | None = None
 
 
 class ServiceRuntime:
@@ -104,7 +105,9 @@ class ServiceRuntime:
         self._ids = wire.IdCounter()
         self._control = None
         self._listeners: list[object] = []
-        self._pending_opens: dict[int, _PendingOpen] = {}
+        self._pending_opens = Correlations(
+            env, self.OPEN_TIMEOUT_MS,
+            lambda _mid, pending: self._open_failed(pending, wire.TIMEOUT))
 
     @property
     def alive(self) -> bool:
@@ -159,9 +162,6 @@ class ServiceRuntime:
             handle.channel.close()
         if self._control is not None:
             self._control.close()
-        for pending in self._pending_opens.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
         self._pending_opens.clear()
 
     # -- control plane ---------------------------------------------------
@@ -214,30 +214,19 @@ class ServiceRuntime:
         if not self._send_control(msg):
             self._open_failed(pending, wire.UNREACHABLE)
             return mid
-        self._pending_opens[mid] = pending
-        pending.timer = self.env.schedule(
-            self.OPEN_TIMEOUT_MS, lambda: self._open_timeout(mid), tag="timeout")
+        self._pending_opens.add(mid, pending)
         return mid
 
-    def _open_timeout(self, mid: int) -> None:
-        pending = self._pending_opens.pop(mid, None)
-        if pending is not None:
-            self._open_failed(pending, wire.TIMEOUT)
-
     def _open_failed(self, pending: _PendingOpen, status: int) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
         self.env.emit("log", f"open {pending.plug} failed: {status}")
         if pending.on_failed is not None:
             pending.on_failed(self, pending.plug, status)
 
     def _on_session_response(self, msg: Message) -> None:
-        pending = self._pending_opens.pop(msg.message_id, None)
+        pending = self._pending_opens.take(msg.message_id)
         if pending is None:
             self.env.emit("log", f"session_response with unknown id {msg.message_id}")
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
         if not wire.is_success(msg.status):
             self._open_failed(pending, msg.status)
             return
@@ -367,11 +356,10 @@ class ServiceRuntime:
         if match is not None:
             self.close_session(match, suppress_info=True)
             status = wire.OK
-        mt = (MT.SOURCE_SESSION_CLOSE_RESPONSE if role == "source"
-              else MT.DEST_SESSION_CLOSE_RESPONSE)
         sub = (ST.SOURCE_SERVICE_TO_AGENT if role == "source"
                else ST.DEST_SERVICE_TO_AGENT)
-        self._send_control(wire.make_message(mt, msg.message_id, sub, status=status))
+        self._send_control(wire.make_message(
+            wire.RESPONSE_TO[msg.msg_type], msg.message_id, sub, status=status))
 
     # -- shutdown / health ------------------------------------------------
 

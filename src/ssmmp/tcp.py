@@ -394,7 +394,7 @@ def _parse_preamble(line: str) -> tuple[dict[str, str], int]:
         raise ConnectionRefused(f"bad preamble {line!r}")
     meta = dict(w.split("=", 1) for w in words[1:])
     port = meta.pop("session", "")
-    if not (port.isascii() and port.isdecimal()
+    if not (port.isascii() and port.isdecimal() and len(port) <= 5
             and EPHEMERAL_START <= int(port) <= EPHEMERAL_END):
         raise ConnectionRefused(f"bad session port in {line!r}")
     return meta, int(port)

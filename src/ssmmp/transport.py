@@ -6,9 +6,10 @@ the tie key is drawn per channel (or per timer) from the run seed, so equal
 seeds replay identical traces while different seeds may interleave unrelated
 channels differently. Per-channel FIFO always holds. The TCP fabric keeps
 its timers in a `TimerQueue` too. A fabric's timer queue is the only record
-of its outstanding work: a control request is outstanding exactly while its
-`timeout` timer is queued, so quiescence is read from the queue's tags
-(`pending_tags`), not from the actors.
+of its outstanding work: every request an actor awaits is an entry of one
+of its `Correlations` tables, which queues the entry's `timeout` timer with
+it, so quiescence is read from the queue's tags (`pending_tags`), not from
+the actors.
 
 Connecting allocates an ephemeral port m on the source node and a fresh
 per-session port l on the destination node; the acceptor learns the peer
@@ -302,6 +303,60 @@ class TimerQueue(list):
     def tags(self) -> set[str]:
         """The tags of the live timers."""
         return {tag for tag, n in self.live.items() if n}
+
+
+class Correlations:
+    """The requests one actor awaits, by key: each entry is outstanding
+    exactly while its `timeout` timer is queued on the actor's `env`.
+
+    `add` queues the timer, `take` cancels it, and `clear` cancels them all.
+    When a timer fires, its entry leaves the table first, and then
+    `on_timeout(key, value)` runs. A key is added only when it is absent."""
+
+    __slots__ = ("_env", "_timeout_ms", "_on_timeout", "_entries")
+
+    def __init__(self, env, timeout_ms: int, on_timeout):
+        self._env = env
+        self._timeout_ms = timeout_ms
+        self._on_timeout = on_timeout
+        self._entries: dict = {}  # key -> (value, its timeout timer)
+
+    def add(self, key, value) -> None:
+        timer = self._env.schedule(self._timeout_ms,
+                                   lambda: self._expire(key), tag="timeout")
+        self._entries[key] = (value, timer)
+
+    def _expire(self, key) -> None:
+        value, _timer = self._entries.pop(key)
+        self._on_timeout(key, value)
+
+    def take(self, key):
+        """The value under `key`, which leaves the table, or None."""
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return None
+        entry[1].cancel()
+        return entry[0]
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        return None if entry is None else entry[0]
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def items(self) -> list:
+        """(key, value) of each entry, as a list: callers take entries while
+        they walk it."""
+        return [(key, value) for key, (value, _t) in self._entries.items()]
+
+    def clear(self) -> None:
+        for _value, timer in self._entries.values():
+            timer.cancel()
+        self._entries.clear()
 
 
 class SimNetwork:

@@ -166,6 +166,45 @@ _DEST_CLOSE_FIELDS = (
     "dest_socket_new_port",
 )
 
+# (type, sub_type into the agent, sub_type out of it, fields) of each type
+# that an agent relays; the upstream session_request also carries the
+# agent's address, first. TEMPLATES holds each type's template into the
+# agent before the one out: the parser tries a type's patterns in order.
+RELAYED: tuple[tuple[MessageType, SubType, SubType, tuple[str, ...]], ...] = (
+    (MessageType.SESSION_REQUEST, SubType.SERVICE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER, (
+        "source_service_name",
+        "source_service_instance_id",
+        "source_plug_name",
+        "dest_service_name",
+        "dest_socket_name",
+    )),
+    (MessageType.SESSION_ACK, SubType.SERVICE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER,
+     ("status", "source_plug_port", "dest_socket_new_port")),
+    (MessageType.SESSION_RESPONSE, SubType.MANAGER_TO_AGENT,
+     SubType.AGENT_TO_SERVICE,
+     ("status", "dest_service_instance_network_address", "dest_socket_port")),
+    (MessageType.SOURCE_SESSION_CLOSE_INFO, SubType.SOURCE_SERVICE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER, _SOURCE_CLOSE_FIELDS),
+    (MessageType.DEST_SESSION_CLOSE_INFO, SubType.DEST_SERVICE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER, _DEST_CLOSE_FIELDS),
+    (MessageType.SOURCE_SESSION_CLOSE_REQUEST, SubType.MANAGER_TO_AGENT,
+     SubType.AGENT_TO_SOURCE_SERVICE, _SOURCE_CLOSE_FIELDS),
+    (MessageType.SOURCE_SESSION_CLOSE_RESPONSE,
+     SubType.SOURCE_SERVICE_TO_AGENT, SubType.AGENT_TO_MANAGER, ("status",)),
+    (MessageType.DEST_SESSION_CLOSE_REQUEST, SubType.MANAGER_TO_AGENT,
+     SubType.AGENT_TO_DEST_SERVICE, _DEST_CLOSE_FIELDS),
+    (MessageType.DEST_SESSION_CLOSE_RESPONSE, SubType.DEST_SERVICE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER, ("status",)),
+    (MessageType.GRACEFUL_SHUTDOWN_REQUEST, SubType.MANAGER_TO_AGENT,
+     SubType.AGENT_TO_SERVICE_INSTANCE, ("service_name", "service_instance_id")),
+    (MessageType.GRACEFUL_SHUTDOWN_RESPONSE,
+     SubType.SERVICE_INSTANCE_TO_AGENT, SubType.AGENT_TO_MANAGER, ("status",)),
+    (MessageType.HEALTH_CONTROL_RESPONSE, SubType.SERVICE_INSTANCE_TO_AGENT,
+     SubType.AGENT_TO_MANAGER, ("service_name", "service_instance_id", "status")),
+)
+
 # (msg_type, sub_type) -> ordered field names after the type/id/sub_type lines
 TEMPLATES: dict[tuple[MessageType, SubType | None], tuple[str, ...]] = {
     (MessageType.INITIATION_REQUEST, None): (
@@ -181,77 +220,6 @@ TEMPLATES: dict[tuple[MessageType, SubType | None], tuple[str, ...]] = {
         "plug_configuration",
     ),
     (MessageType.EXECUTION_RESPONSE, None): ("status",),
-    (MessageType.SESSION_REQUEST, SubType.SERVICE_TO_AGENT): (
-        "source_service_name",
-        "source_service_instance_id",
-        "source_plug_name",
-        "dest_service_name",
-        "dest_socket_name",
-    ),
-    (MessageType.SESSION_REQUEST, SubType.AGENT_TO_MANAGER): (
-        "agent_network_address",
-        "source_service_name",
-        "source_service_instance_id",
-        "source_plug_name",
-        "dest_service_name",
-        "dest_socket_name",
-    ),
-    (MessageType.SESSION_RESPONSE, SubType.MANAGER_TO_AGENT): (
-        "status",
-        "dest_service_instance_network_address",
-        "dest_socket_port",
-    ),
-    (MessageType.SESSION_RESPONSE, SubType.AGENT_TO_SERVICE): (
-        "status",
-        "dest_service_instance_network_address",
-        "dest_socket_port",
-    ),
-    (MessageType.SESSION_ACK, SubType.SERVICE_TO_AGENT): (
-        "status",
-        "source_plug_port",
-        "dest_socket_new_port",
-    ),
-    (MessageType.SESSION_ACK, SubType.AGENT_TO_MANAGER): (
-        "status",
-        "source_plug_port",
-        "dest_socket_new_port",
-    ),
-    (MessageType.SOURCE_SESSION_CLOSE_INFO, SubType.SOURCE_SERVICE_TO_AGENT):
-        _SOURCE_CLOSE_FIELDS,
-    (MessageType.SOURCE_SESSION_CLOSE_INFO, SubType.AGENT_TO_MANAGER):
-        _SOURCE_CLOSE_FIELDS,
-    (MessageType.DEST_SESSION_CLOSE_INFO, SubType.DEST_SERVICE_TO_AGENT):
-        _DEST_CLOSE_FIELDS,
-    (MessageType.DEST_SESSION_CLOSE_INFO, SubType.AGENT_TO_MANAGER):
-        _DEST_CLOSE_FIELDS,
-    (MessageType.SOURCE_SESSION_CLOSE_REQUEST, SubType.MANAGER_TO_AGENT):
-        _SOURCE_CLOSE_FIELDS,
-    (MessageType.SOURCE_SESSION_CLOSE_REQUEST, SubType.AGENT_TO_SOURCE_SERVICE):
-        _SOURCE_CLOSE_FIELDS,
-    (MessageType.SOURCE_SESSION_CLOSE_RESPONSE, SubType.SOURCE_SERVICE_TO_AGENT):
-        ("status",),
-    (MessageType.SOURCE_SESSION_CLOSE_RESPONSE, SubType.AGENT_TO_MANAGER):
-        ("status",),
-    (MessageType.DEST_SESSION_CLOSE_REQUEST, SubType.MANAGER_TO_AGENT):
-        _DEST_CLOSE_FIELDS,
-    (MessageType.DEST_SESSION_CLOSE_REQUEST, SubType.AGENT_TO_DEST_SERVICE):
-        _DEST_CLOSE_FIELDS,
-    (MessageType.DEST_SESSION_CLOSE_RESPONSE, SubType.DEST_SERVICE_TO_AGENT):
-        ("status",),
-    (MessageType.DEST_SESSION_CLOSE_RESPONSE, SubType.AGENT_TO_MANAGER):
-        ("status",),
-    (MessageType.GRACEFUL_SHUTDOWN_REQUEST, SubType.MANAGER_TO_AGENT): (
-        "service_name",
-        "service_instance_id",
-    ),
-    (MessageType.GRACEFUL_SHUTDOWN_REQUEST, SubType.AGENT_TO_SERVICE_INSTANCE): (
-        "service_name",
-        "service_instance_id",
-    ),
-    (MessageType.GRACEFUL_SHUTDOWN_RESPONSE, SubType.SERVICE_INSTANCE_TO_AGENT):
-        ("status",),
-    (MessageType.GRACEFUL_SHUTDOWN_RESPONSE, SubType.AGENT_TO_MANAGER):
-        ("status",),
     (MessageType.HARD_SHUTDOWN_REQUEST, SubType.MANAGER_TO_AGENT): (
         "service_name",
         "service_instance_id",
@@ -261,17 +229,26 @@ TEMPLATES: dict[tuple[MessageType, SubType | None], tuple[str, ...]] = {
         "service_name",
         "service_instance_id",
     ),
-    (MessageType.HEALTH_CONTROL_RESPONSE, SubType.SERVICE_INSTANCE_TO_AGENT): (
-        "service_name",
-        "service_instance_id",
-        "status",
-    ),
-    (MessageType.HEALTH_CONTROL_RESPONSE, SubType.AGENT_TO_MANAGER): (
-        "service_name",
-        "service_instance_id",
-        "status",
-    ),
 }
+for _t, _in, _out, _names in RELAYED:
+    TEMPLATES[_t, _in] = _names
+    TEMPLATES[_t, _out] = (("agent_network_address",) + _names
+                           if _t is MessageType.SESSION_REQUEST else _names)
+
+# response type -> the type of the request it answers
+REQUEST_OF: dict[MessageType, MessageType] = {
+    MessageType.INITIATION_RESPONSE: MessageType.INITIATION_REQUEST,
+    MessageType.EXECUTION_RESPONSE: MessageType.EXECUTION_REQUEST,
+    MessageType.SESSION_RESPONSE: MessageType.SESSION_REQUEST,
+    MessageType.SOURCE_SESSION_CLOSE_RESPONSE:
+        MessageType.SOURCE_SESSION_CLOSE_REQUEST,
+    MessageType.DEST_SESSION_CLOSE_RESPONSE:
+        MessageType.DEST_SESSION_CLOSE_REQUEST,
+    MessageType.GRACEFUL_SHUTDOWN_RESPONSE:
+        MessageType.GRACEFUL_SHUTDOWN_REQUEST,
+    MessageType.HARD_SHUTDOWN_RESPONSE: MessageType.HARD_SHUTDOWN_REQUEST,
+}
+RESPONSE_TO = {request: response for response, request in REQUEST_OF.items()}
 
 SUB_TYPES_OF: dict[MessageType, tuple[SubType | None, ...]] = {}
 for (_t, _s) in TEMPLATES:
@@ -349,6 +326,14 @@ class Message:
     def field_names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.fields)
 
+    def session_key(self) -> tuple[str, int, str, int, int]:
+        """(na_i, m, na_j, k, l): the session a close message names."""
+        return (self.get("source_service_instance_network_address"),
+                self.get_int("source_plug_port"),
+                self.get("dest_service_instance_network_address"),
+                self.get_int("dest_socket_port"),
+                self.get_int("dest_socket_new_port"))
+
 
 def make_message(
     msg_type: MessageType,
@@ -381,8 +366,8 @@ def make_message(
     if values:
         raise InvalidMessage([ValidationIssue(
             "TemplateMismatch", f"extra fields {sorted(values)}")])
-    if message_id < 1:
-        issues.insert(0, ValidationIssue("FieldRange", "message_id must be positive"))
+    if not 0 < message_id < _ID_LIMIT:
+        issues.insert(0, _message_id_issue(message_id))
     if issues:
         raise InvalidMessage(issues)
     return Message(msg_type, message_id, sub_type, tuple(fields), checked=True)
@@ -441,7 +426,7 @@ def parse_pair_list(text: str) -> list[tuple[str, str]]:
 def parse_socket_config(text: str) -> list[tuple[str, int]]:
     out = []
     for name, port in parse_pair_list(text):
-        if not port.isdigit() or not 1 <= int(port) <= 65535:
+        if not (port.isdigit() and len(port) <= 5 and 1 <= int(port) <= 65535):
             raise WireSyntaxError(f"port out of range in pair ({name}, {port})")
         out.append((name, int(port)))
     return out
@@ -453,6 +438,20 @@ def parse_plug_config(text: str) -> list[tuple[str, str]]:
 
 # ---------------------------------------------------------------------------
 # Validation: one check per field name, built at import from FIELD_KINDS
+
+# The most digits an id or a message_id has. Each integer a peer sends is
+# bounded in digits before int() reads it, which raises past 4,300 digits.
+ID_DIGITS = 19
+_ID_LIMIT = 10 ** ID_DIGITS
+
+
+def _message_id_issue(message_id: int) -> ValidationIssue:
+    """The issue of a message_id below 1 or of more than ID_DIGITS digits."""
+    if message_id < 1:
+        return ValidationIssue("FieldRange", "message_id must be positive")
+    return ValidationIssue("FieldRange",
+                           f"message_id has more than {ID_DIGITS} digits")
+
 
 _CANONICAL_INT_RE = re.compile(r"(0|[1-9][0-9]*)\Z")
 _POSITIVE_INT_RE = re.compile(r"[1-9][0-9]*\Z")
@@ -485,8 +484,11 @@ def _id_check(name: str) -> FieldCheck:
     def check(value: str) -> ValidationIssue | None:
         if not _CANONICAL_INT_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: not an integer {value!r}")
-        if int(value) < 1:
+        if value == "0":
             return ValidationIssue("FieldRange", f"{name}: must be positive")
+        if len(value) > ID_DIGITS:
+            return ValidationIssue(
+                "FieldRange", f"{name}: more than {ID_DIGITS} digits")
         return None
     return check
 
@@ -495,7 +497,7 @@ def _port_check(name: str) -> FieldCheck:
     def check(value: str) -> ValidationIssue | None:
         if not _CANONICAL_INT_RE.match(value):
             return ValidationIssue("FieldSyntax", f"{name}: not an integer {value!r}")
-        if not 1 <= int(value) <= 65535:
+        if len(value) > 5 or not 1 <= int(value) <= 65535:
             return ValidationIssue("FieldRange", f"{name}: port {value} out of 1-65535")
         return None
     return check
@@ -564,8 +566,8 @@ def validate_message(m: Message) -> list[ValidationIssue]:
             f"({m.msg_type.value}, {m.sub_type.value if m.sub_type else None}) "
             "is not a known template"))
         return issues
-    if m.message_id < 1:
-        issues.append(ValidationIssue("FieldRange", "message_id must be positive"))
+    if not 0 < m.message_id < _ID_LIMIT:
+        issues.append(_message_id_issue(m.message_id))
     names = m.field_names()
     if names != template:
         if sorted(names) == sorted(template):
@@ -657,7 +659,7 @@ def _split_lines(data: bytes) -> list[tuple[str, str]]:
 # another kind is any line text, and its check runs on it after the match.
 _VALUE_PATTERNS = {
     "token": r"[A-Za-z0-9_.-]+",
-    "id": r"[1-9][0-9]*",
+    "id": r"[1-9][0-9]{0,%d}" % (ID_DIGITS - 1),
     "port": (r"[1-9][0-9]{0,3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}"
              r"|655[0-2][0-9]|6553[0-5]"),
     "status": r"[1-5][0-9]{2}",
@@ -741,6 +743,8 @@ def _reject(lines: list[tuple[str, str]]) -> NoReturn:
         raise TemplateMismatchError(f"second line must be message_id, got {name!r}")
     if not _POSITIVE_INT_RE.match(value):
         raise WireSyntaxError(f"message_id not a positive integer: {value!r}")
+    if len(value) > ID_DIGITS:
+        raise WireSyntaxError(f"message_id has more than {ID_DIGITS} digits")
     message_id = int(value)
 
     sub_type: SubType | None = None

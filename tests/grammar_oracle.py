@@ -7,7 +7,7 @@ per value shape. Decides only accept/reject for a byte string.
 import re
 
 _TOKEN = r"[A-Za-z0-9_.-]+"
-_INT = r"[1-9][0-9]*"
+_INT = r"[1-9][0-9]{0,18}"
 _PORT = r"(0|[1-9][0-9]{0,4})"
 _STATUS = r"[1-5][0-9]{2}"
 _IPV4 = r"[0-9]{1,3}(\.[0-9]{1,3}){3}"

@@ -123,8 +123,7 @@ def test_failed_execution_rolls_back(fig1_graph):
     pool = manager._pool("fd00::a1")
     allocated = set(pool.allocated)
     # answer with a failure instead of letting the agent reply
-    manager._pending[mid].timer.cancel()
-    manager._resolve(mid, wire.INTERNAL_ERROR)
+    manager._resolve(manager._pending.take(mid), wire.INTERNAL_ERROR)
     assert ("B", 1) not in manager.instances
     assert pool.allocated == allocated - {20000}
 
@@ -240,9 +239,8 @@ def test_session_ack_fills_ports_and_duplicate_is_noop(fig1_graph):
 def test_nack_deletes_pending(fig1_graph):
     net, cluster = _booted(fig1_graph)
     manager = cluster.manager
-    manager._pending_sessions[("fd00::a1", 42)] = (object.__new__(
-        type(manager.sessions[0]) if manager.sessions else _dummy_record()),
-        manager.env.schedule(1_000, lambda: None, tag="timeout"))
+    manager._pending_sessions.add(("fd00::a1", 42), object.__new__(
+        type(manager.sessions[0]) if manager.sessions else _dummy_record()))
     nack = wire.make_message(MT.SESSION_ACK, 42, ST.AGENT_TO_MANAGER,
                              status=503, source_plug_port=1,
                              dest_socket_new_port=2)
@@ -298,7 +296,7 @@ def test_in_flight_id_conflict_answers_409(fig1_graph):
         agent_network_address="fd00::a1",
         source_service_name="A", source_service_instance_id=1,
         source_plug_name="P", dest_service_name="B", dest_socket_name="S")
-    manager._pending_sessions[("fd00::a1", 77)] = None
+    manager._pending_sessions.add(("fd00::a1", 77), None)
     sent = []
     manager._send = lambda addr, m: sent.append(m) or True
     manager.handle_session_request("fd00::a1", msg)
@@ -407,7 +405,7 @@ def _unanswered_request(net, cluster, kind):
                                       "source")
     else:
         manager.request_hard_shutdown(manager.instances[("B", 1)])
-    (mid,) = manager._pending
+    ((mid, _pending),) = manager._pending.items()
     return mid
 
 
@@ -428,7 +426,7 @@ def test_request_resolves_only_by_its_own_kind(fig1_graph, kind, request_name,
         "fd00::a1", wire.make_message(wrong_type, mid, sub, status=wire.OK))
     logs = [text for _t, k, text in manager.journal if k == "log"]
     assert logs[-1] == f"{wrong_name} with unknown id {mid}"
-    assert manager._pending[mid].kind == kind
+    assert manager._pending.get(mid).kind == kind
     assert manager.established_sessions()  # the close did not resolve
     net.run(until_ms=net.now_ms() + REQUEST_TIMEOUT_MS + 100)
     assert mid not in manager._pending

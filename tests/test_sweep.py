@@ -1,9 +1,11 @@
 """The streaming trace checker gives the verdicts of a sweep from scratch,
 visits each trace record once, and catches faults that arrive mid-run."""
 
+import sys
+
 import pytest
 
-from conftest import FIXTURES, sweep_scenarios
+from conftest import FIXTURES, make_cluster, sweep_scenarios
 
 from ssmmp import wire
 from ssmmp.harness import invariants
@@ -11,7 +13,8 @@ from ssmmp.harness.generator import generate_scenario
 from ssmmp.harness.report import TraceRecord
 from ssmmp.harness.runner import run_scenario
 from ssmmp.harness.scenario import load_scenario, parse_scenario_text
-from ssmmp.transport import SimNetwork
+from ssmmp.manager import REQUEST_TIMEOUT_MS, Manager
+from ssmmp.transport import Correlations, SimEnv, SimNetwork
 from ssmmp.wire import MessageType as MT, SubType as ST
 
 
@@ -65,7 +68,7 @@ def test_streaming_sweep_equals_sweep_from_scratch(name, scenario,
 
 def _response_records(records):
     return [r for r in records if r.kind == "msg"
-            and invariants._RESPONSE_OF.get(r.message().msg_type)]
+            and wire.REQUEST_OF.get(r.message().msg_type)]
 
 
 def test_faults_appended_mid_run_fail_like_a_sweep_from_scratch(
@@ -135,30 +138,55 @@ def test_each_record_feeds_the_replay_oracle_once(monkeypatch):
 
 
 def _correlation_tables(cluster):
-    """Every table that holds an outstanding correlation of an actor."""
-    manager = cluster.manager
-    yield manager._pending
-    yield manager._pending_sessions
+    """Every table that holds an outstanding correlation of an actor: each
+    `Correlations` attribute of the manager, an agent or a runtime, and an
+    agent's held requests."""
+    for actor in (cluster.manager, *cluster.agents.values(),
+                  *cluster.runtimes.values()):
+        yield from (value for value in vars(actor).values()
+                    if isinstance(value, Correlations))
     for agent in cluster.agents.values():
-        yield agent._flows
-        yield agent._pending_health
         yield from agent._held_requests.values()
-    for rt in cluster.runtimes.values():
-        yield rt._pending_opens
+
+
+def test_the_guard_finds_every_correlations_table(fig1_graph):
+    net, cluster = make_cluster(fig1_graph, [
+        ("fd00::a1", ["A", "B", "service-2"]),
+        ("fd00::a2", ["service-1", "service-3", "service-4"])])
+    cluster.manager.start_app()
+    net.run(until_ms=net.now_ms() + 30)
+    assert cluster.runtimes
+    tables = [t for t in _correlation_tables(cluster)
+              if isinstance(t, Correlations)]
+    assert len(tables) == (2 + 2 * len(cluster.agents)
+                           + len(cluster.runtimes))
 
 
 def _open_at_sweeps(monkeypatch, runs):
-    """Run each (scenario, seed) with every sweep wrapped: (sweeps, sweeps
-    at which some correlation table was not empty)."""
+    """Run each (scenario, seed) with every sweep wrapped, and the caller of
+    each `timeout` timer checked: [sweeps, sweeps at which some correlation
+    table was not empty, timeouts queued, timeouts queued by any caller but
+    `Correlations.add`]."""
     sweep = invariants.sweep
-    counts = [0, 0]
+    schedule = SimNetwork.schedule
+    counts = [0, 0, 0, 0]
 
     def guarded(records, manager, cluster, net, **kwargs):
         counts[0] += 1
         counts[1] += any(_correlation_tables(cluster))
         return sweep(records, manager, cluster, net, **kwargs)
 
+    def traced(net, delay_ms, fn, tag="timer"):
+        if tag == "timeout":
+            caller = sys._getframe(1)
+            if caller.f_code is SimEnv.schedule.__code__:
+                caller = caller.f_back
+            counts[2] += 1
+            counts[3] += caller.f_code is not Correlations.add.__code__
+        return schedule(net, delay_ms, fn, tag)
+
     monkeypatch.setattr(invariants, "sweep", guarded)
+    monkeypatch.setattr(SimNetwork, "schedule", traced)
     for scenario, seed in runs:
         run_scenario(scenario, seed)
     return counts
@@ -178,7 +206,8 @@ def _muted_health_poll(graph):
 def test_no_correlation_is_open_at_a_quiescent_point(monkeypatch,
                                                      fig1_graph):
     """A point is quiescent when only maintenance timers are queued, since
-    each correlation is recorded by its queued `timeout` timer as well."""
+    each correlation is an entry of a `Correlations` table, which queues the
+    entry's `timeout` timer with it: no other caller queues a timeout."""
     muted = (_muted_health_poll(fig1_graph), 1)
     runs = [(load_scenario(path), seed)
             for path in sorted(FIXTURES.glob("*.scenario"))
@@ -186,8 +215,21 @@ def test_no_correlation_is_open_at_a_quiescent_point(monkeypatch,
     runs += [(generate_scenario(seed, profile), seed)
              for profile in ("establish_close", "mixed")
              for seed in range(40)]
-    sweeps, open_at = _open_at_sweeps(monkeypatch, runs + [muted])
+    sweeps, open_at, timeouts, stray = _open_at_sweeps(monkeypatch,
+                                                       runs + [muted])
     assert sweeps > len(runs) and open_at == 0
+    assert timeouts > len(runs) and stray == 0
+
+    # A timeout queued outside Correlations: the guard must see it.
+    monkeypatch.undo()
+    start = Manager.start
+
+    def start_with_a_stray_timeout(manager):
+        start(manager)
+        manager.env.schedule(REQUEST_TIMEOUT_MS, lambda: None, tag="timeout")
+
+    monkeypatch.setattr(Manager, "start", start_with_a_stray_timeout)
+    assert _open_at_sweeps(monkeypatch, [muted])[3] == 1
 
     # Timeouts that quiescence does not see: the muted poll's must show.
     monkeypatch.undo()

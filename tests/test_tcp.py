@@ -481,7 +481,9 @@ def acceptor():
     b"connect plug=P\n", b"connect session=x\n", b"connect session=39999\n",
     b"connect session=65536\n",
     # Arabic-Indic digits for 40000: decimal to str.isdecimal and int()
-    "connect session=\u0664\u0660\u0660\u0660\u0660\n".encode()])
+    "connect session=\u0664\u0660\u0660\u0660\u0660\n".encode(),
+    pytest.param(b"connect session=" + b"4" * 5000 + b"\n",
+                 id="connect session=4x5000")])
 def test_malformed_preamble_closes_the_connection(acceptor, preamble):
     fabric, accepted = acceptor
     with socket.create_connection((fabric.ip("fd00::a1"), 7000),
@@ -491,7 +493,8 @@ def test_malformed_preamble_closes_the_connection(acceptor, preamble):
     assert accepted == []
 
 
-@pytest.mark.parametrize("instance", ["x", "9"])
+@pytest.mark.parametrize("instance", [
+    "x", "9", pytest.param("7" * 5000, id="7x5000")])
 def test_agent_closes_control_channel_naming_no_instance(fig1, instance,
                                                          monkeypatch):
     """A control connection whose preamble names no instance of the agent,

@@ -6,8 +6,8 @@ from conftest import observe, sweep_scenarios
 
 from ssmmp.harness.runner import run_scenario
 from ssmmp.transport import (EPHEMERAL_END, EPHEMERAL_START, ChannelClosed,
-                             ConnectionRefused, Endpoint, NodeDown, PortInUse,
-                             SimNetwork)
+                             ConnectionRefused, Correlations, Endpoint,
+                             NodeDown, PortInUse, SimNetwork)
 
 
 def _two_nodes(seed=1):
@@ -224,6 +224,44 @@ def test_pending_tags_follow_cancel_and_fire():
     net.step()  # cancelled while it runs, so it is not queued again
     assert net.pending_tags() == set()
     assert len(ticks) == 3 and not net.step()
+
+
+def test_correlations_queue_one_timeout_per_entry_until_taken():
+    net = SimNetwork(seed=0)
+    net.add_node("fd00::a")
+    expired = []
+    table = Correlations(net.env("fd00::a"), 50,
+                         lambda key, value: expired.append((key, value)))
+    table.add(1, "one")
+    assert net.pending_tags() == {"timeout"}
+    assert 1 in table and len(table) == 1 and table.get(1) == "one"
+    assert table.items() == [(1, "one")]
+    assert table.take(1) == "one"
+    assert net.pending_tags() == set() and len(table) == 0
+    assert table.take(1) is None and table.get(1) is None
+    table.add(2, "two")
+    table.add(3, "three")
+    table.clear()
+    assert net.pending_tags() == set() and len(table) == 0
+    net.run()
+    assert expired == []
+
+
+def test_a_correlation_leaves_its_table_before_its_timeout_handler_runs():
+    net = SimNetwork(seed=0)
+    seen = []
+
+    def on_timeout(key, value):
+        seen.append((net.now_ms(), key, value, key in table))
+        if len(seen) == 1:
+            table.add(key, "again")  # the same key, now absent
+
+    net.add_node("fd00::a")
+    table = Correlations(net.env("fd00::a"), 50, on_timeout)
+    table.add(7, "first")
+    net.run()
+    assert seen == [(50, 7, "first", False), (100, 7, "again", False)]
+    assert len(table) == 0 and net.pending_tags() == set()
 
 
 def _walked_tags(net):

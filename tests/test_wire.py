@@ -247,6 +247,16 @@ def test_validate_reports_issue_codes():
     codes = [i.code for i in wire.validate_message(bad_id)]
     assert codes == ["FieldRange"]
 
+    # The builder takes the message ids the parser takes: 1 to 19 digits.
+    long_id = Message(MT.INITIATION_RESPONSE, 10 ** 19, None,
+                      (("status", "200"),))
+    assert [str(i) for i in wire.validate_message(long_id)] == [
+        "FieldRange: message_id has more than 19 digits"]
+    with pytest.raises(InvalidMessage, match="more than 19 digits"):
+        wire.make_message(MT.INITIATION_RESPONSE, 10 ** 19, status=200)
+    top = wire.make_message(MT.INITIATION_RESPONSE, 10 ** 19 - 1, status=200)
+    assert wire.parse_message(wire.serialize_message(top)) == top
+
     with pytest.raises(InvalidMessage):
         wire.serialize_message(bad_port)
 
@@ -358,6 +368,9 @@ MALFORMED = [
     ("message_id_negative",
      b"type: initiation_response\nmessage_id: -1\nstatus: 200\n\n",
      WireSyntaxError, "message_id not a positive integer: '-1'"),
+    ("message_id_too_long", _ACK.replace(b"message_id: 1", b"message_id: "
+                                         + b"7" * 5000),
+     WireSyntaxError, "message_id has more than 19 digits"),
     ("sub_type_missing", _ACK.replace(b"sub_type: service_to_agent\n", b""),
      TemplateMismatchError, "session_ack requires a sub_type line"),
     ("sub_type_missing_no_fields", b"type: session_ack\nmessage_id: 1\n\n",
@@ -404,6 +417,9 @@ MALFORMED = [
     ("id_range",
      _EXEC.replace(b"service_instance_id: 1", b"service_instance_id: 0"),
      WireSyntaxError, "FieldRange: service_instance_id: must be positive"),
+    ("id_too_long", _EXEC.replace(b"service_instance_id: 1",
+                                  b"service_instance_id: " + b"7" * 5000),
+     WireSyntaxError, "FieldRange: service_instance_id: more than 19 digits"),
     ("port_syntax", _ACK.replace(b"41000", b"041000"), WireSyntaxError,
      "FieldSyntax: source_plug_port: not an integer '041000'"),
     ("port_range", _ACK.replace(b"41000", b"65536"), WireSyntaxError,
@@ -431,6 +447,10 @@ MALFORMED = [
     ("socket_config_port", _EXEC.replace(b"((S2, 20000))", b"((S2, 70000))"),
      WireSyntaxError, "FieldSyntax: socket_configuration: port out of range "
      "in pair (S2, 70000)"),
+    ("socket_config_port_too_long",
+     _EXEC.replace(b"((S2, 20000))", b"((S2, " + b"2" * 5000 + b"))"),
+     WireSyntaxError, "FieldSyntax: socket_configuration: port out of range "
+     f"in pair (S2, {'2' * 5000})"),
     ("socket_config_unparenthesized",
      _EXEC.replace(b"((S2, 20000))", b"(S2, 20000)"), WireSyntaxError,
      "FieldSyntax: socket_configuration: malformed pair 'S2, 20000' in "

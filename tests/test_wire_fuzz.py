@@ -112,7 +112,8 @@ def test_parser_accepts_a_value_exactly_when_validation_does():
               "10000", "59999", "60000", "64999", "65000", "65499", "65500",
               "65529", "65530", "65535", "65536", "99999", "00", "01", "+1",
               "-1", "", "1 ", "a", "a-b.c_D", "a b", "a:b", "é",
-              "fd00::1", "10.0.0.1", "()", "(a; b)", "((a, 1))"]
+              "fd00::1", "10.0.0.1", "()", "(a; b)", "((a, 1))", "9" * 19,
+              "1" + "0" * 19, "7" * 5000]
     for _, m in golden_messages():
         for i, (name, _) in enumerate(m.fields):
             for value in values:
